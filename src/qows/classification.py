@@ -13,15 +13,17 @@ and the census report surfaces any disagreement between them instead of
 reconciling it silently.
 """
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import enumerate_order4
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, EmptyString, FormatError
 from .inversion import resolve_budget
 from .transforms import Const, Index, OwfSpec, e_transform, r_n
+from .transforms import e_columns, flat_tables, periodic_row
 
 # Lexicographic indices (1-based) of the published Fractal class. The count
 # announced alongside the list is 192, and this rendition of the list has
@@ -139,12 +141,21 @@ class ClassifySettings:
     max_len: int = 4
     include_indices: bool = False
 
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise FormatError(f"iterations must be at least 1, got {self.iterations}")
+
     @property
     def threshold(self):
         return self.alpha * self.iterations * len(self.motif)
 
     def leaders_for(self, q):
-        return tuple(range(q.order)) if self.leaders is None else tuple(self.leaders)
+        """The constant leaders to profile on q, checked against its symbols."""
+        leaders = tuple(range(q.order)) if self.leaders is None else tuple(self.leaders)
+        if not leaders:
+            raise EmptyString("the leader set is empty")
+        q._check(*leaders)
+        return leaders
 
 
 @dataclass
@@ -160,14 +171,6 @@ class ClassLabel:
         return self.label == FRACTAL
 
 
-def _window(motif, width):
-    if not motif:
-        raise ValueError("motif must be non-empty")
-    if width % len(motif):
-        raise ValueError(f"width {width} is not a multiple of motif length {len(motif)}")
-    return list(motif) * (width // len(motif))
-
-
 def _period_point(k, row, width):
     raw = minimal_period(row)
     if 2 * raw > width:
@@ -178,7 +181,7 @@ def _period_point(k, row, width):
 def period_profile(q, leader, motif=(0, 1, 2, 3), width=4096, iterations=32):
     """Minimal period of each iterate of the leader-l elementary
     transformation, starting from the periodic extension of motif."""
-    row = _window(motif, width)
+    row = periodic_row(q, motif, width)
     points = []
     for k in range(1, iterations + 1):
         row = list(e_transform(q, leader, row))
@@ -234,29 +237,6 @@ class CensusReport:
         return not self.published_missing and not self.published_extra
 
 
-def _batched_final_rows(tables, leaders, motif, width, iterations):
-    """Final iterate for every (table, leader) pair at once.
-
-    tables: (m, s, s) int array. Returns (m * len(leaders), width) int8,
-    batch index = table_index * len(leaders) + leader_position. The scan
-    runs position by position across the whole batch.
-    """
-    m, s, _ = tables.shape
-    nl = len(leaders)
-    b = m * nl
-    tflat = np.ascontiguousarray(tables, dtype=np.int64).reshape(m * s * s)
-    offs = np.repeat(np.arange(m) * s * s, nl)
-    lead = np.tile(np.array(leaders, dtype=np.int64), m)
-    window = np.array(_window(motif, width), dtype=np.int64)
-    rows = np.broadcast_to(window, (b, width)).copy()
-    for _ in range(iterations):
-        x = lead.copy()
-        for j in range(width):
-            x = tflat[offs + x * s + rows[:, j]]
-            rows[:, j] = x
-    return rows.astype(np.int8)
-
-
 def _batched_periods(rows, width):
     """Reported period per row: smallest p <= width/2 that shifts the row
     onto itself, else the width with the capped mark."""
@@ -283,20 +263,26 @@ def _census_range(lo, hi, st):
     """Census rows for 1-based indices lo..hi-1. Pure; safe to run in a
     worker process."""
     squares = enumerate_order4()[lo - 1:hi - 1]
-    tables = np.array([q.table for q in squares], dtype=np.int64)
+    s = squares[0].order
     leaders = st.leaders_for(squares[0])
-    rows = _batched_final_rows(tables, leaders, st.motif, st.width, st.iterations)
-    per, cap = _batched_periods(rows, st.width)
+    row = periodic_row(squares[0], st.motif, st.width)
     nl = len(leaders)
+    # the final iterate of every (square, leader) pair, one column each:
+    # column i * nl + k runs leaders[k] through square i's block of mul
+    mul = np.concatenate([flat_tables(q)[0] for q in squares])
+    offset = np.repeat(np.arange(len(squares), dtype=np.intp) * (s * s), nl)
+    lead = np.tile(np.array(leaders, dtype=np.intp), len(squares))
+    rows = np.repeat(np.array(row, dtype=mul.dtype)[:, None], len(lead), axis=1)
+    for _ in range(st.iterations):
+        e_columns(mul, s, lead, rows, offset)
+    per, cap = _batched_periods(np.ascontiguousarray(rows.T), st.width)
+    per, cap = per.reshape(-1, nl), cap.reshape(-1, nl)
     out = []
     for i, q in enumerate(squares):
-        idx = lo + i
-        pp = per[i * nl:(i + 1) * nl]
-        cc = cap[i * nl:(i + 1) * nl]
-        worst = int(pp.argmax())
-        point = PeriodPoint(st.iterations, int(pp[worst]), bool(cc[worst]))
+        worst = int(per[i].argmax())
+        point = PeriodPoint(st.iterations, int(per[i, worst]), bool(cap[i, worst]))
         witness = permutation_search(q, st.n, st.max_len, st.include_indices)
-        out.append((idx, witness, point))
+        out.append((lo + i, witness, point))
     return out
 
 
@@ -305,10 +291,11 @@ def census_order4(settings=None, workers=None):
     period criterion computed alongside for the coincidence check."""
     st = settings or ClassifySettings()
     total = len(enumerate_order4())
-    if workers and workers > 1:
+    workers = min(workers or 1, os.cpu_count() or 1)
+    if workers > 1:
         bounds = np.linspace(1, total + 1, workers + 1).astype(int)
         ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        with ProcessPoolExecutor(max_workers=len(ranges)) as ex:
             parts = list(ex.map(_census_range_star, [(a, b, st) for a, b in ranges]))
         entries = [e for part in parts for e in part]
     else:

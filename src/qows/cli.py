@@ -9,12 +9,15 @@ import argparse
 import sys
 
 from . import classification, core, inversion, io_formats, transforms
-from .errors import QowsError
+from .errors import FormatError, QowsError
 
 
 def _read(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise FormatError(f"cannot read {path}: {e}")
 
 
 def _load_quasigroup(args, parser):
@@ -59,6 +62,13 @@ def _parse_output(args, q, parser):
     return b
 
 
+def _constant_leaders(text, parser, what):
+    tokens = io_formats.parse_leaders(text)
+    if not all(isinstance(tok, transforms.Const) for tok in tokens):
+        parser.error(f"{what} takes constant leaders only")
+    return tuple(tok.value for tok in tokens)
+
+
 def _cmd_transform(args, parser):
     q = _load_quasigroup(args, parser)
     a = io_formats.parse_string(args.input, q.order)
@@ -68,12 +78,7 @@ def _cmd_transform(args, parser):
             parser.error("--fn e requires --leader")
         out = transforms.e_transform(q, args.leader, a)
     elif fn == "E":
-        leaders = io_formats.parse_leaders(args.leaders or "")
-        consts = []
-        for tok in leaders:
-            if not isinstance(tok, transforms.Const):
-                parser.error("--fn E takes constant leaders only")
-            consts.append(tok.value)
+        consts = _constant_leaders(args.leaders or "", parser, "--fn E")
         out = transforms.apply_leader_sequence(q, consts, a)
     elif fn == "r1":
         out = transforms.r1(q, a)
@@ -94,8 +99,7 @@ def _cmd_invert(args, parser):
     header = [("quasigroup", args.quasigroup or f"#{args.index}"),
               ("method", args.method), ("n", len(b)),
               ("output", io_formats.serialize_string(b, q.order)),
-              ("budget", inversion.resolve_budget(args.budget)),
-              ("seed", args.seed)]
+              ("budget", inversion.resolve_budget(args.budget))]
     if args.method == "brute":
         leaders = io_formats.parse_leaders(args.leaders or "")
         spec = transforms.OwfSpec(q, len(b), leaders)
@@ -121,8 +125,7 @@ def _cmd_histogram(args, parser):
         ("quasigroup", args.quasigroup or f"#{args.index}"),
         ("n", args.n),
         ("leaders", io_formats.serialize_leaders(leaders)),
-        ("budget", inversion.resolve_budget(args.budget)),
-        ("seed", args.seed)])
+        ("budget", inversion.resolve_budget(args.budget))])
     text += io_formats.serialize_histogram(hist)
     _emit(args, text)
     return 0
@@ -145,13 +148,14 @@ def _census_settings(args):
 
 
 def _cmd_census(args, parser):
+    if args.workers is not None and args.workers < 1:
+        parser.error(f"--workers must be at least 1, got {args.workers}")
     report = classification.census_order4(settings=_census_settings(args),
                                           workers=args.workers)
     if args.json:
         _emit(args, io_formats.serialize_census_json(report))
         return 0
-    text = _config_lines("census", [
-        ("workers", args.workers or 1), ("seed", args.seed)])
+    text = _config_lines("census", [("workers", args.workers or 1)])
     text += io_formats.serialize_census_report(report)
     _emit(args, text)
     return 0
@@ -161,7 +165,7 @@ def _cmd_classify(args, parser):
     q = _load_quasigroup(args, parser)
     motif = io_formats.parse_string(args.motif, q.order)
     leaders = (None if args.leaders is None else
-               tuple(int(t) for t in args.leaders.split(",")))
+               _constant_leaders(args.leaders, parser, "--leaders"))
     settings = classification.ClassifySettings(
         alpha=args.alpha, iterations=args.iterations, width=args.width,
         motif=motif, leaders=leaders, n=args.n,
@@ -174,8 +178,7 @@ def _cmd_classify(args, parser):
         ("motif", io_formats.serialize_string(motif, q.order)),
         ("leaders", ",".join(str(l) for l in settings.leaders_for(q))),
         ("threshold", settings.threshold),
-        ("n", settings.n), ("max-leader-len", settings.max_len),
-        ("seed", args.seed)])
+        ("n", settings.n), ("max-leader-len", settings.max_len)])
     lines += f"label {label.label}\n"
     lines += "witness " + ("-" if label.permutation_witness is None else
                            io_formats.serialize_leaders(label.permutation_witness)) + "\n"
@@ -209,7 +212,6 @@ def _add_common(sp, quasigroup=True, index=True):
             sp.add_argument("--index", type=int, metavar="K",
                             help="1-based lexicographic index of an order-4 square")
     sp.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
-    sp.add_argument("--seed", type=int, default=0, help="deterministic RNG seed")
 
 
 def build_parser():
@@ -293,6 +295,7 @@ def build_parser():
     sp = sub.add_parser("gen", help="generate a random quasigroup table")
     _add_common(sp, quasigroup=False)
     sp.add_argument("--order", type=int, required=True)
+    sp.add_argument("--seed", type=int, default=0, help="deterministic RNG seed")
     sp.set_defaults(run=_cmd_gen)
 
     return p
@@ -303,10 +306,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.run(args, parser)
-    except QowsError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (QowsError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded
-from .transforms import Const, Index
+from .errors import BudgetExceeded, LengthMismatch
+from .transforms import Const, Index, check_string, unpack_string
+from .transforms import e_columns, e_inverse_columns, flat_tables, symbol_dtype
 from .transforms import r1 as _r1_eval
-from .transforms import unpack_string
 
 DEFAULT_BUDGET = 1 << 24
 _CHUNK_ROWS = 1 << 18
@@ -103,46 +103,26 @@ def _hypothesis_warnings(q):
     return notes
 
 
-def _np_tables(q):
-    s = q.order
-    t = np.array(q.table, dtype=np.int8)
-    ld = np.zeros((s, s), dtype=np.int8)
-    for u in range(s):
-        for v in range(s):
-            ld[u, t[u, v]] = v
-    return t, ld
-
-
 def _unpack_block(start, count, s, n):
-    """Rows start..start+count-1 of the packed enumeration of Q^n."""
+    """Columns start..start+count-1 of the packed enumeration of Q^n."""
     k = np.arange(start, start + count, dtype=np.int64)
-    out = np.empty((count, n), dtype=np.int8)
+    out = np.empty((n, count), dtype=symbol_dtype(s))
     for j in range(n - 1, -1, -1):
-        out[:, j] = k % s
+        out[j] = k % s
         k //= s
     return out
 
 
-def _forward_block(table, spec, block):
-    """Evaluate the family member on every row of block, vectorized.
+def _forward_block(mul, s, steps, block):
+    """Evaluate the leader tokens steps on every column of block.
 
-    Index leaders resolve against each row's original symbols, so the leader
-    of a step is itself a column vector.
+    Index leaders resolve against each column's original symbols, so the
+    leader of a step is itself a row vector.
     """
-    n = spec.n
     cur = block.copy()
-    lookups = 0
-    steps = list(spec.leaders) + [Index(n - 1 - k) for k in range(n)] * 2
     for tok in steps:
-        if isinstance(tok, Const):
-            x = np.full(block.shape[0], tok.value, dtype=np.int8)
-        else:
-            x = block[:, tok.j].copy()
-        for j in range(n):
-            x = table[x, cur[:, j]]
-            cur[:, j] = x
-        lookups += n * block.shape[0]
-    return cur, lookups
+        e_columns(mul, s, tok.value if isinstance(tok, Const) else block[tok.j], cur)
+    return cur, len(steps) * cur.size
 
 
 def brute_preimages(spec, b, budget=None):
@@ -157,24 +137,24 @@ def brute_preimages(spec, b, budget=None):
     s = spec.q.order
     n = spec.n
     if len(b) != n:
-        from .errors import LengthMismatch
-
         raise LengthMismatch(f"output length {len(b)} != N = {n}")
+    check_string(spec.q, b)
     total = s**n
     limit = resolve_budget(budget)
     if total > limit:
         raise BudgetExceeded(f"domain size {total} exceeds budget {limit}")
-    table, _ = _np_tables(spec.q)
-    target = np.array(b, dtype=np.int8)
+    mul, _ = flat_tables(spec.q)
+    steps = list(spec.leaders) + [Index(n - 1 - k) for k in range(n)] * 2
+    target = np.array(b, dtype=mul.dtype)[:, None]
     found = []
     lookups = 0
     for start in range(0, total, _CHUNK_ROWS):
         count = min(_CHUNK_ROWS, total - start)
         block = _unpack_block(start, count, s, n)
-        image, lk = _forward_block(table, spec, block)
+        image, lk = _forward_block(mul, s, steps, block)
         lookups += lk
-        hits = np.nonzero((image == target).all(axis=1))[0]
-        found.extend(tuple(int(v) for v in block[i]) for i in hits)
+        hits = np.nonzero((image == target).all(axis=0))[0]
+        found.extend(tuple(block[:, i].tolist()) for i in hits)
     return AttackTrace(preimages=found, guesses=total, lookups=lookups,
                        elapsed=time.perf_counter() - t0)
 
@@ -187,14 +167,15 @@ def preimage_histogram(spec, budget=None):
     limit = resolve_budget(budget)
     if total > limit:
         raise BudgetExceeded(f"domain size {total} exceeds budget {limit}")
-    table, _ = _np_tables(spec.q)
+    mul, _ = flat_tables(spec.q)
+    steps = list(spec.leaders) + [Index(n - 1 - k) for k in range(n)] * 2
     counts = np.zeros(total, dtype=np.int64)
     weights = (s ** np.arange(n - 1, -1, -1, dtype=np.int64))
     for start in range(0, total, _CHUNK_ROWS):
         count = min(_CHUNK_ROWS, total - start)
         block = _unpack_block(start, count, s, n)
-        image, _ = _forward_block(table, spec, block)
-        packed = image.astype(np.int64) @ weights
+        image, _ = _forward_block(mul, s, steps, block)
+        packed = weights @ image.astype(np.int64)
         counts += np.bincount(packed, minlength=total)
     return PreimageHistogram(counts=counts, order=s, n=n)
 
@@ -274,11 +255,8 @@ def attack_r1(q, b, first_hit=False):
     """
     t0 = time.perf_counter()
     b = tuple(b)
+    check_string(q, b)
     n = len(b)
-    if n == 0:
-        from .errors import EmptyString
-
-        raise EmptyString("output string must have length >= 1")
     notes = _hypothesis_warnings(q)
     s = q.order
     grid = _Grid(q, n, rows=n + 1, leader_of_step=lambda i: (0, n - i))
@@ -334,74 +312,44 @@ def attack_r2(q, b, budget=None, first_hit=False):
     """
     t0 = time.perf_counter()
     b = tuple(b)
+    check_string(q, b)
     n = len(b)
-    if n == 0:
-        from .errors import EmptyString
-
-        raise EmptyString("output string must have length >= 1")
     notes = _hypothesis_warnings(q)
     s = q.order
     total = s**n
     limit = resolve_budget(budget)
     if total > limit:
         raise BudgetExceeded(f"branch count {total} exceeds budget {limit}")
-    table, ld = _np_tables(q)
+    mul, ldiv = flat_tables(q)
     lookups = 0
 
     # prefix chunking keeps peak memory at chunk * n cells
     prefix_len = 0
     while s ** (n - prefix_len) > _CHUNK_ROWS and prefix_len < n:
         prefix_len += 1
-    found = []
-    target = np.array(b, dtype=np.int8)
-
-    def backward(row, leader):
-        nonlocal lookups
-        out = np.empty_like(row)
-        out[0] = ld[leader, row[0]]
-        if n > 1:
-            out[1:] = ld[row[:-1], row[1:]]
-        lookups += n
-        return out
-
     chunk_size = s ** (n - prefix_len)
+    r1_steps = [Index(n - 1 - k) for k in range(n)]
+    found = []
     guesses = 0
     for pstart in range(s**prefix_len):
-        prefix = unpack_string(pstart, s, prefix_len) if prefix_len else ()
-        row = target
+        prefix = unpack_string(pstart, s, prefix_len)
+        mid = np.array(b, dtype=mul.dtype)[:, None]
         for a in prefix:      # leaders a_0, a_1, ... peel the last steps
-            row = backward(row, a)
-        rows = row[None, :].copy()
+            e_inverse_columns(ldiv, s, a, mid)
+            lookups += n
         for d in range(prefix_len, n):
-            mm = rows.shape[0]
-            # guess a_d; branch i*s + g extends branch i, so the final
-            # branch index is the packed value of the guess tuple
-            nxt = np.empty((mm * s, n), dtype=np.int8)
-            if n > 1:
-                tail = ld[rows[:, :-1], rows[:, 1:]]
-                lookups += mm * (n - 1)
-            for g in range(s):
-                dst = nxt.reshape(mm, s, n)[:, g, :]
-                dst[:, 0] = ld[g, rows[:, 0]]
-                if n > 1:
-                    dst[:, 1:] = tail
-            lookups += mm * s
-            rows = nxt
-        # forward single-reverse pass over this chunk's candidate tuples
+            # guess a_d: column i*s + g extends column i, so the final
+            # column index is the packed value of the guess tuple
+            mid = np.repeat(mid, s, axis=1)
+            guess = np.resize(np.arange(s, dtype=mid.dtype), mid.shape[1])
+            e_inverse_columns(ldiv, s, guess, mid)
+            lookups += mid.size
         block = _unpack_block(pstart * chunk_size, chunk_size, s, n)
-        cur = block.copy()
-        for step_i in range(n):
-            x = block[:, n - 1 - step_i].copy()
-            for j in range(n):
-                x = table[x, cur[:, j]]
-                cur[:, j] = x
-            lookups += n * block.shape[0]
+        image, lk = _forward_block(mul, s, r1_steps, block)
+        lookups += lk
         guesses += chunk_size
-        hits = np.nonzero((cur == rows).all(axis=1))[0]
-        for i in hits:
-            found.append(tuple(int(v) for v in block[i]))
-            if first_hit:
-                break
+        hits = np.nonzero((image == mid).all(axis=0))[0][:1 if first_hit else None]
+        found.extend(tuple(block[:, i].tolist()) for i in hits)
         if first_hit and found:
             break
     found.sort()

@@ -10,7 +10,7 @@ import json
 
 from .core import Quasigroup
 from .errors import FormatError
-from .transforms import Const, Index
+from .transforms import Const, Index, e_row, periodic_row
 
 QG_EXT = ".qg"
 STRING_EXT = ".qs"
@@ -134,23 +134,14 @@ def render_iterations(q, leader, motif, width, iterations, text=False):
     transformation of row k with the constant leader. Binary P6 by default,
     text P3 with text=True. Output is byte-identical for identical inputs.
     """
-    if not motif:
-        raise FormatError("motif must be non-empty")
-    if width % len(motif):
-        raise FormatError(f"width {width} is not a multiple of motif length {len(motif)}")
+    rows = [periodic_row(q, motif, width)]
+    q._check(leader)
+    if iterations < 0:
+        raise FormatError(f"iterations must be non-negative, got {iterations}")
     pal = palette(q.order)
     height = iterations + 1
-    table = q.table
-    row = list(motif) * (width // len(motif))
-    rows = [row]
     for _ in range(iterations):
-        prev = rows[-1]
-        nxt = []
-        x = leader
-        for a in prev:
-            x = table[x][a]
-            nxt.append(x)
-        rows.append(nxt)
+        rows.append(e_row(q.table, leader, rows[-1]))
     if text:
         out = [f"P3\n{width} {height}\n255"]
         for r in rows:

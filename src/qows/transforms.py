@@ -17,8 +17,11 @@ first, and the reversed input contributes (a_{N-1}, ..., a_0) in that order.
 """
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     EmptyString,
+    FormatError,
     IndexLeaderOutOfRange,
     LengthMismatch,
     OrderMismatch,
@@ -26,12 +29,23 @@ from .errors import (
 )
 
 
-def _check_string(q, a):
+def check_string(q, a):
+    """Raise unless a is a nonempty string over q's symbols."""
     if len(a) == 0:
         raise EmptyString("transformations are defined for strings of length >= 1")
     for x in a:
         if not 0 <= x < q.order:
             raise OrderMismatch(f"symbol {x} not in [0, {q.order})")
+
+
+def e_row(table, leader, a):
+    """e_transform without checks, on q.table, returning a list."""
+    out = []
+    x = leader
+    for sym in a:
+        x = table[x][sym]
+        out.append(x)
+    return out
 
 
 def e_transform(q, leader, a):
@@ -45,16 +59,10 @@ def e_transform(q, leader, a):
     Returns the transformed string as a tuple, the same length as a.
     """
     a = tuple(a)
-    _check_string(q, a)
+    check_string(q, a)
     if not 0 <= leader < q.order:
         raise SymbolOutOfRange(f"leader {leader} not in [0, {q.order})")
-    table = q.table
-    out = []
-    x = leader
-    for sym in a:
-        x = table[x][sym]
-        out.append(x)
-    return tuple(out)
+    return tuple(e_row(q.table, leader, a))
 
 
 def e_inverse(q, leader, b):
@@ -64,7 +72,7 @@ def e_inverse(q, leader, b):
     leader, so e_inverse(q, l, e_transform(q, l, a)) == a always holds.
     """
     b = tuple(b)
-    _check_string(q, b)
+    check_string(q, b)
     if not 0 <= leader < q.order:
         raise SymbolOutOfRange(f"leader {leader} not in [0, {q.order})")
     ldiv = q._ldiv
@@ -76,13 +84,65 @@ def e_inverse(q, leader, b):
     return tuple(out)
 
 
+def symbol_dtype(order):
+    """The narrowest unsigned dtype holding the symbols 0..order-1."""
+    return np.uint8 if order <= 256 else np.uint16
+
+
+def flat_tables(q):
+    """q.table and q._ldiv flattened (entry u * s + v) to symbol_dtype."""
+    dtype = symbol_dtype(q.order)
+    return (np.array(q.table, dtype=dtype).ravel(),
+            np.array(q._ldiv, dtype=dtype).ravel())
+
+
+def e_columns(mul, order, leader, state, offset=None):
+    """e_transform of every column of the (n, count) state, in place and
+    unchecked. leader is a symbol or one per column. mul is flat_tables'
+    first table, or several stacked with offset the start of each column's.
+    """
+    idx = np.empty(state.shape[1], dtype=np.intp)
+    prev = leader
+    for row in state:
+        # index arithmetic in intp: a uint8 row times order would wrap
+        np.multiply(prev, order, out=idx, dtype=np.intp)
+        idx += row
+        if offset is not None:
+            idx += offset
+        np.take(mul, idx, out=row)
+        prev = row
+    return state
+
+
+def e_inverse_columns(ldiv, order, leader, state):
+    """e_inverse of every column of state; e_columns with the ldiv table."""
+    idx = np.empty(state.shape[1], dtype=np.intp)
+    for j in range(state.shape[0] - 1, -1, -1):
+        np.multiply(state[j - 1] if j else leader, order, out=idx, dtype=np.intp)
+        idx += state[j]
+        np.take(ldiv, idx, out=state[j])
+    return state
+
+
+def periodic_row(q, motif, width):
+    """The periodic extension of a motif over q's symbols to width symbols."""
+    motif = tuple(motif)
+    if not motif:
+        raise FormatError("motif must be non-empty")
+    if width < 1 or width % len(motif):
+        raise FormatError(
+            f"width {width} is not a positive multiple of motif length {len(motif)}")
+    check_string(q, motif)
+    return list(motif) * (width // len(motif))
+
+
 def apply_leader_sequence(q, leaders, a):
     """Apply one e_transform per leader, first listed leader first.
 
     An empty leader sequence returns the input unchanged.
     """
     a = tuple(a)
-    _check_string(q, a)
+    check_string(q, a)
     for l in leaders:
         a = e_transform(q, l, a)
     return a
@@ -95,7 +155,7 @@ def transformation_rows(q, leaders, a):
     reproducing worked tables and for rendering.
     """
     a = tuple(a)
-    _check_string(q, a)
+    check_string(q, a)
     rows = [a]
     for l in leaders:
         rows.append(e_transform(q, l, rows[-1]))
@@ -171,7 +231,7 @@ def resolve_leaders(spec, a):
 def r_n(spec, a):
     """Evaluate the general family member on input a (length spec.n)."""
     a = tuple(a)
-    _check_string(spec.q, a)
+    check_string(spec.q, a)
     return apply_leader_sequence(spec.q, resolve_leaders(spec, a), a)
 
 

@@ -105,3 +105,13 @@ WITNESS_47_WITH_INDICES = "i0,i0"
 # Benchmark square generation: seeds 0..118 yield exactly 100 squares that
 # are both non-commutative and non-associative.
 BENCHMARK_SEEDS_CONSUMED = 119
+
+
+def shuffled_cyclic(s, rnd):
+    """An order-s Latin square p[(i + c[j]) % s] with p and c shuffled by
+    rnd: fast at any order, where random_latin is slow above order ~28."""
+    p = list(range(s))
+    c = list(range(s))
+    rnd.shuffle(p)
+    rnd.shuffle(c)
+    return [[p[(i + c[j]) % s] for j in range(s)] for i in range(s)]

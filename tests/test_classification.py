@@ -7,9 +7,11 @@ from qows import (
     PUBLISHED_FRACTAL_COUNT,
     ClassifySettings,
     Const,
+    FormatError,
     Index,
     OwfSpec,
     Quasigroup,
+    SymbolOutOfRange,
     census_order4,
     classify,
     from_index,
@@ -125,9 +127,9 @@ class TestPeriodProfile:
         assert all(p.period == 1 and not p.capped for p in profile)
 
     def test_width_validation(self, ref_square):
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError):
             period_profile(ref_square, 0, motif=(0, 1, 2), width=16)
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError):
             period_profile(ref_square, 0, motif=())
 
 
@@ -206,6 +208,40 @@ class TestCensus:
         assert parallel.witnesses == report.witnesses
         assert parallel.periods == report.periods
         assert parallel.disagreements == report.disagreements
+
+    @pytest.mark.parametrize("leader", [-1, 5])
+    def test_out_of_range_leader_rejected(self, leader):
+        with pytest.raises(SymbolOutOfRange):
+            census_order4(ClassifySettings(leaders=(leader,)))
+
+    def test_worker_fan_out_is_bounded(self, monkeypatch):
+        import qows.classification as cls
+
+        requested = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cls, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cls.os, "cpu_count", lambda: 3)
+        small = ClassifySettings(iterations=1, width=4, max_len=0)
+        serial = census_order4(small)
+        for workers, pool in ((100000, 3), (2, 2)):
+            report = census_order4(small, workers=workers)
+            assert requested[-1] == pool
+            assert report.witnesses == serial.witnesses
+            assert report.periods == serial.periods
+        assert len(requested) == 2
 
 
 def test_published_list_integrity():

@@ -215,6 +215,35 @@ class TestCensusCommand:
         assert doc["publishedDiff"] == {"missing": [], "extra": []}
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--index", "5", "--width", "4095"],
+    ["classify", "--index", "5", "--leaders", "x"],
+    ["classify", "--index", "5", "--leaders", "9"],
+    ["classify", "--index", "5", "--leaders", ""],
+    ["classify", "--index", "5", "--iterations", "0"],
+    ["classify", "--quasigroup", "{dir}"],
+    ["classify", "--quasigroup", "{non_ascii}"],
+    ["render", "--index", "5", "--iterations", "-5"],
+    ["render", "--index", "5", "--width", "-4"],
+    ["render", "--index", "5", "--leader", "7"],
+    ["census", "--workers", "-3"],
+    ["census", "--workers", "0"],
+    ["invert", "--index", "5", "--method", "brute", "--output", "01", "--out", "{dir}"],
+    ["census", "--seed", "0"],
+])
+def test_bad_input_exits_without_traceback(argv, tmp_path, capsys):
+    non_ascii = tmp_path / "table.qg"
+    non_ascii.write_bytes("4\n0 1 2 3\n1 2 3 \u00e9\n".encode("utf-8"))
+    argv = [a.format(dir=tmp_path, non_ascii=non_ascii) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert err and "Traceback" not in err
+
+
 def test_console_script_entry_point(ref_square_file):
     # the installed executable, end to end
     proc = subprocess.run(

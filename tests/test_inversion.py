@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from qows import (
     EmptyString,
     Index,
     OwfSpec,
+    Quasigroup,
     attack_r1,
     attack_r2,
     brute_preimages,
@@ -203,3 +205,18 @@ class TestHistogram:
         for value in range(16):
             got = brute_preimages(spec, unpack_string(value, 4, 2))
             assert len(got.preimages) == hist.count_of(value)
+
+
+@pytest.mark.parametrize("order", [200, 300])
+def test_wide_orders_find_planted_input(order):
+    # symbols above 127 overflowed the int8 tables these paths once used
+    rnd = random.Random(order)
+    q = Quasigroup(data.shuffled_cyclic(order, rnd))
+    a = (rnd.randrange(order), rnd.randrange(order))
+    spec = OwfSpec(q, 2, (Const(order - 1), Index(1)))
+    b = r_n(spec, a)
+    assert a in brute_preimages(spec, b).preimages
+    hist = preimage_histogram(spec)
+    assert hist.count_of(pack_string(b, order)) >= 1
+    assert int(hist.counts.sum()) == order**2
+    assert a in attack_r2(q, r2(q, a)).preimages

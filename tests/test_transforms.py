@@ -1,7 +1,9 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qows import (
@@ -26,6 +28,7 @@ from qows import (
     transformation_rows,
     unpack_string,
 )
+from qows.transforms import e_columns, e_inverse_columns, flat_tables, symbol_dtype
 
 import data
 
@@ -83,6 +86,42 @@ class TestETransform:
         a = tuple(payload.draw(st.integers(0, order - 1)) for _ in range(n))
         l = payload.draw(st.integers(0, order - 1))
         assert e_inverse(q, l, e_transform(q, l, a)) == a
+
+
+class TestVectorizedPair:
+    """e_columns and e_inverse_columns against the pure-Python reference,
+    column by column, across the uint8/uint16 boundary."""
+
+    @given(st.integers(2, 300), st.randoms(use_true_random=False),
+           st.integers(1, 6), st.integers(1, 5))
+    @example(256, random.Random(0), 5, 3)
+    @example(257, random.Random(1), 5, 3)
+    @example(300, random.Random(2), 4, 5)
+    @settings(max_examples=40, deadline=None)
+    def test_columns_match_reference(self, order, rnd, n, count):
+        q = Quasigroup(data.shuffled_cyclic(order, rnd))
+        mul, ldiv = flat_tables(q)
+        strings = [tuple(rnd.randrange(order) for _ in range(n)) for _ in range(count)]
+        leaders = [rnd.randrange(order) for _ in range(count)]
+        state = np.array(strings, dtype=symbol_dtype(order)).T.copy()
+        column_leaders = np.array(leaders, dtype=state.dtype)
+
+        def columns(arr):
+            return [tuple(col) for col in arr.T.tolist()]
+
+        l = leaders[0]
+        assert columns(e_columns(mul, order, l, state.copy())) == \
+            [e_transform(q, l, a) for a in strings]
+        assert columns(e_inverse_columns(ldiv, order, l, state.copy())) == \
+            [e_inverse(q, l, a) for a in strings]
+        assert columns(e_columns(mul, order, column_leaders, state.copy())) == \
+            [e_transform(q, l, a) for l, a in zip(leaders, strings)]
+        assert columns(e_inverse_columns(ldiv, order, column_leaders, state.copy())) == \
+            [e_inverse(q, l, a) for l, a in zip(leaders, strings)]
+
+    def test_dtype_by_order(self):
+        assert symbol_dtype(256) == np.uint8
+        assert symbol_dtype(257) == np.uint16
 
 
 class TestLeaderSequences:
