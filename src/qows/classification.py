@@ -20,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import enumerate_order4
-from .errors import BudgetExceeded, EmptyString, FormatError
+from .errors import BudgetExceeded, EmptyString, FormatError, LengthMismatch
 from .inversion import resolve_budget
-from .transforms import Const, Index, OwfSpec, e_transform, r_n
-from .transforms import e_columns, flat_tables, periodic_row
+from .transforms import Const, Index, e_columns, e_row, flat_tables, periodic_row
+# Unused here; perfbench/tracing.py rebinds these names to count calls.
+from .transforms import OwfSpec, e_transform, r_n  # noqa: F401
 
 # Lexicographic indices (1-based) of the published Fractal class. The count
 # announced alongside the list is 192, and this rendition of the list has
@@ -59,41 +60,134 @@ def leader_strings(order, n, max_len, include_indices=False):
     leaders i_0..i_{n-1}; strings of a given length enumerate in product
     order over that token sequence.
     """
-    tokens = [Const(v) for v in range(order)]
-    if include_indices:
-        tokens += [Index(j) for j in range(n)]
+    tokens = _tokens(order, n, include_indices)
     for length in range(max_len + 1):
         yield from itertools.product(tokens, repeat=length)
 
 
-def permutation_search(q, n, max_len, include_indices=False, budget=None):
-    """First leader string whose family member is a bijection on Q^n.
+def _tokens(order, n, include_indices):
+    tokens = [Const(v) for v in range(order)]
+    if include_indices:
+        tokens += [Index(j) for j in range(n)]
+    return tokens
 
-    Returns the witness leader tuple, or None when no string within the
-    length bound works. Candidates are rejected at the first repeated
-    output, so the common (non-bijective) case is cheap.
-    """
-    s = q.order
-    total = s**n
+
+# (square, leader string, input) columns evaluated together by the witness
+# search. Fixed, so its memory does not grow with the order or max_len.
+_WITNESS_COLUMNS = 1 << 18
+
+
+def _check_search(order, n, max_len, include_indices, budget):
+    """Validate a witness search and charge s^n inputs per leader string
+    against the budget, before any work."""
+    if n < 1:
+        raise LengthMismatch("N must be at least 1")
+    if max_len < 0:
+        raise FormatError(f"max leader length must be non-negative, got {max_len}")
     limit = resolve_budget(budget)
-    if total > limit:
-        raise BudgetExceeded(f"domain size {total} exceeds budget {limit}")
-    inputs = list(itertools.product(range(s), repeat=n))
-    weights = [s**e for e in range(n - 1, -1, -1)]
-    for leaders in leader_strings(s, n, max_len, include_indices):
-        spec = OwfSpec(q, n, leaders)
-        seen = bytearray(total)
-        ok = True
-        for a in inputs:
-            out = r_n(spec, a)
-            packed = sum(w * v for w, v in zip(weights, out))
-            if seen[packed]:
-                ok = False
-                break
-            seen[packed] = 1
-        if ok:
-            return leaders
-    return None
+    over = BudgetExceeded(f"{order}^{n} inputs times the leader strings up to "
+                          f"length {max_len} exceeds budget {limit}")
+    ntok = len(_tokens(order, n, include_indices))
+    # s^n >= 2^n and ntok^max_len >= 2^max_len: spare computing huge powers
+    if (order > 1 and n >= limit.bit_length()
+            or ntok > 1 and max_len >= limit.bit_length()):
+        raise over
+    strings = (max_len + 1 if ntok == 1
+               else (ntok**(max_len + 1) - 1) // (ntok - 1))
+    if order**n * strings > limit:
+        raise over
+
+
+def _digits(lo, hi, base, count):
+    """The count base-`base` digits of each of lo..hi-1, most significant
+    first, as a (count, hi - lo) array: inputs of Q^n or leader strings, in
+    product order."""
+    t = np.arange(lo, hi, dtype=np.intp)
+    out = np.empty((count, hi - lo), dtype=np.intp)
+    for r in range(count - 1, -1, -1):
+        out[r] = t % base
+        t //= base
+    return out
+
+
+def _bijective(mul, s, n, squares, ids):
+    """(len(squares), strings) mask: is leader string ids[:, k] a witness for
+    the square whose table starts at squares[i] * s * s in mul?
+
+    Token ids below s are constants, s + j is Index(j). Columns run
+    (square, string, input); as there are exactly s^n inputs, outputs that
+    cover all of Q^n make a bijection.
+    """
+    total = s**n
+    strings = ids.shape[1]
+    groups = len(squares) * strings
+    chunk = min(total, max(1, _WITNESS_COLUMNS // groups))
+    group_tok = np.tile(ids, len(squares))
+    group_off = np.repeat(np.asarray(squares, dtype=np.intp) * (s * s), strings)
+    group_base = np.arange(groups, dtype=np.intp) * total
+    seen = np.zeros(groups * total, dtype=bool)
+    for lo in range(0, total, chunk):
+        m = min(total, lo + chunk) - lo
+        inputs = np.tile(_digits(lo, lo + m, s, n).astype(mul.dtype), groups)
+        state = inputs.copy()
+        offset = np.repeat(group_off, m)
+        for tok in group_tok:
+            lead = np.repeat(tok, m)
+            if tok.max() >= s:       # Index(j) leads with input symbol j
+                cols = np.flatnonzero(lead >= s)
+                lead[cols] = inputs[lead[cols] - s, cols]
+            e_columns(mul, s, lead, state, offset)
+        for j in 2 * tuple(range(n - 1, -1, -1)):
+            e_columns(mul, s, inputs[j], state, offset)
+        packed = np.zeros(groups * m, dtype=np.intp)
+        for row in state:
+            packed *= s
+            packed += row
+        packed += np.repeat(group_base, m)
+        seen[packed] = True
+    return seen.reshape(len(squares), strings, total).all(axis=2)
+
+
+def _first_witnesses(squares, n, max_len, include_indices):
+    """permutation_search for each of several squares of one order, by
+    length, dropping a square at its first witness."""
+    s = squares[0].order
+    tokens = _tokens(s, n, include_indices)
+    ntok = len(tokens)
+    mul = np.concatenate([flat_tables(q)[0] for q in squares])
+    per_block = max(1, _WITNESS_COLUMNS // s**n)    # (square, string) pairs
+    witnesses = [None] * len(squares)
+    pending = list(range(len(squares)))
+    for length in range(max_len + 1):
+        count = ntok**length
+        step = min(count, per_block)
+        group = max(1, per_block // count)
+        for b in range(0, len(pending), group):
+            batch = pending[b:b + group]
+            for lo in range(0, count, step):
+                batch = [i for i in batch if witnesses[i] is None]
+                if not batch:
+                    break
+                ids = _digits(lo, min(count, lo + step), ntok, length)
+                for i, hits in zip(batch, _bijective(mul, s, n, batch, ids)):
+                    if hits.any():
+                        witnesses[i] = tuple(tokens[t] for t in ids[:, hits.argmax()])
+        pending = [i for i in pending if witnesses[i] is None]
+        if not pending:
+            break
+    return witnesses
+
+
+def permutation_search(q, n, max_len, include_indices=False, budget=None):
+    """First leader string in leader_strings order whose family member is
+    a bijection on Q^n, or None when no string within the length bound works.
+
+    Every string of one length is evaluated on all s^n inputs at once with
+    the vectorized e-step. The budget covers s^n times the number of leader
+    strings and is checked before any work.
+    """
+    _check_search(q.order, n, max_len, include_indices, budget)
+    return _first_witnesses([q], n, max_len, include_indices)[0]
 
 
 def minimal_period(seq):
@@ -118,9 +212,12 @@ def minimal_period(seq):
 
 @dataclass(frozen=True)
 class PeriodPoint:
-    """Minimal period of iterate k. When only the window-length bound is
-    observable (raw period exceeding half the window), period is reported
-    as the width itself and capped is set."""
+    """Minimal period of iterate k, exact: the length of the unit the
+    purely periodic iterate repeats. Reported as is while 2 * period <= width;
+    beyond that, period is the width and capped is set, for this iterate and
+    every later one (periods never decrease). By the Fine-Wilf theorem this
+    equals the minimal period of the first width symbols whenever the true
+    period is at most width / 2."""
 
     k: int
     period: int
@@ -142,8 +239,10 @@ class ClassifySettings:
     include_indices: bool = False
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise FormatError(f"iterations must be at least 1, got {self.iterations}")
+        for name, least in (("iterations", 1), ("n", 1), ("max_len", 0), ("alpha", 0)):
+            if getattr(self, name) < least:
+                raise FormatError(f"{name} must be at least {least}, "
+                                  f"got {getattr(self, name)}")
 
     @property
     def threshold(self):
@@ -171,22 +270,53 @@ class ClassLabel:
         return self.label == FRACTAL
 
 
-def _period_point(k, row, width):
-    raw = minimal_period(row)
-    if 2 * raw > width:
-        return PeriodPoint(k, width, True)
-    return PeriodPoint(k, raw, False)
+def _start_unit(q, motif, width):
+    """The shortest unit whose repetition is the periodic extension of motif,
+    after periodic_row's checks of motif and width."""
+    periodic_row(q, motif, width)
+    motif = list(motif)
+    return motif[:minimal_period(motif * 2)]
+
+
+def _unit_profile(table, leader, unit, width, iterations):
+    """period_profile without checks, from the start string's unit.
+
+    If the iterate repeats a unit U of minimal length P, one pass of the
+    e-step over U maps the state permutation-wise, and the leader returns
+    to itself after c <= s passes. The next iterate then repeats the e-step
+    of c copies of U, and P * c is its minimal period: periods are
+    multiples of P (the step is invertible), and a shift by fewer copies
+    would start a copy from a different state, hence a different symbol.
+    """
+    points = []
+    capped = False
+    for k in range(1, iterations + 1):
+        if not capped:
+            nxt = []
+            x = leader
+            while True:
+                block = e_row(table, x, unit)
+                nxt += block
+                x = block[-1]
+                least = len(nxt) if x == leader else len(nxt) + len(unit)
+                if 2 * least > width:       # the next period is at least this
+                    capped = True
+                    break
+                if x == leader:
+                    unit = nxt
+                    break
+        points.append(PeriodPoint(k, width, True) if capped
+                      else PeriodPoint(k, len(unit), False))
+    return tuple(points)
 
 
 def period_profile(q, leader, motif=(0, 1, 2, 3), width=4096, iterations=32):
     """Minimal period of each iterate of the leader-l elementary
-    transformation, starting from the periodic extension of motif."""
-    row = periodic_row(q, motif, width)
-    points = []
-    for k in range(1, iterations + 1):
-        row = list(e_transform(q, leader, row))
-        points.append(_period_point(k, row, width))
-    return tuple(points)
+    transformation, starting from the periodic extension of motif to width
+    (see PeriodPoint for what is reported)."""
+    unit = _start_unit(q, motif, width)
+    q._check(leader)
+    return _unit_profile(q.table, leader, unit, width, iterations)
 
 
 def classify(q, settings=None):
@@ -237,52 +367,16 @@ class CensusReport:
         return not self.published_missing and not self.published_extra
 
 
-def _batched_periods(rows, width):
-    """Reported period per row: smallest p <= width/2 that shifts the row
-    onto itself, else the width with the capped mark."""
-    b = rows.shape[0]
-    period = np.full(b, width, dtype=np.int64)
-    capped = np.ones(b, dtype=bool)
-    open_idx = np.arange(b)
-    sub = rows
-    for p in range(1, width // 2 + 1):
-        hit = (sub[:, p:] == sub[:, :-p]).all(axis=1)
-        if hit.any():
-            solved = open_idx[hit]
-            period[solved] = p
-            capped[solved] = False
-            keep = ~hit
-            open_idx = open_idx[keep]
-            sub = sub[keep]
-            if open_idx.size == 0:
-                break
-    return period, capped
-
-
-def _census_range(lo, hi, st):
-    """Census rows for 1-based indices lo..hi-1. Pure; safe to run in a
-    worker process."""
+def _census_range(lo, hi, st, leaders, unit):
+    """Census rows for 1-based indices lo..hi-1, from checked settings.
+    Pure; safe to run in a worker process."""
     squares = enumerate_order4()[lo - 1:hi - 1]
-    s = squares[0].order
-    leaders = st.leaders_for(squares[0])
-    row = periodic_row(squares[0], st.motif, st.width)
-    nl = len(leaders)
-    # the final iterate of every (square, leader) pair, one column each:
-    # column i * nl + k runs leaders[k] through square i's block of mul
-    mul = np.concatenate([flat_tables(q)[0] for q in squares])
-    offset = np.repeat(np.arange(len(squares), dtype=np.intp) * (s * s), nl)
-    lead = np.tile(np.array(leaders, dtype=np.intp), len(squares))
-    rows = np.repeat(np.array(row, dtype=mul.dtype)[:, None], len(lead), axis=1)
-    for _ in range(st.iterations):
-        e_columns(mul, s, lead, rows, offset)
-    per, cap = _batched_periods(np.ascontiguousarray(rows.T), st.width)
-    per, cap = per.reshape(-1, nl), cap.reshape(-1, nl)
+    witnesses = _first_witnesses(squares, st.n, st.max_len, st.include_indices)
     out = []
     for i, q in enumerate(squares):
-        worst = int(per[i].argmax())
-        point = PeriodPoint(st.iterations, int(per[i, worst]), bool(cap[i, worst]))
-        witness = permutation_search(q, st.n, st.max_len, st.include_indices)
-        out.append((lo + i, witness, point))
+        finals = [_unit_profile(q.table, l, unit, st.width, st.iterations)[-1]
+                  for l in leaders]
+        out.append((lo + i, witnesses[i], max(finals, key=lambda p: p.period)))
     return out
 
 
@@ -290,16 +384,21 @@ def census_order4(settings=None, workers=None):
     """Classify all 576 order-4 quasigroups by witness search, with the
     period criterion computed alongside for the coincidence check."""
     st = settings or ClassifySettings()
-    total = len(enumerate_order4())
+    squares = enumerate_order4()
+    leaders = st.leaders_for(squares[0])
+    unit = _start_unit(squares[0], st.motif, st.width)
+    _check_search(squares[0].order, st.n, st.max_len, st.include_indices, None)
+    total = len(squares)
     workers = min(workers or 1, os.cpu_count() or 1)
     if workers > 1:
         bounds = np.linspace(1, total + 1, workers + 1).astype(int)
-        ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        with ProcessPoolExecutor(max_workers=len(ranges)) as ex:
-            parts = list(ex.map(_census_range_star, [(a, b, st) for a, b in ranges]))
+        jobs = [(int(a), int(b), st, leaders, unit)
+                for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+        with ProcessPoolExecutor(max_workers=len(jobs)) as ex:
+            parts = list(ex.map(_census_range_star, jobs))
         entries = [e for part in parts for e in part]
     else:
-        entries = _census_range(1, total + 1, st)
+        entries = _census_range(1, total + 1, st, leaders, unit)
     entries.sort(key=lambda e: e[0])
     fractal, non_fractal, witnesses, periods, disagree = [], [], {}, {}, []
     for idx, witness, point in entries:

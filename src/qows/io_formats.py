@@ -155,6 +155,17 @@ def render_iterations(q, leader, motif, width, iterations, text=False):
     return f"P6\n{width} {height}\n255\n".encode("ascii") + bytes(body)
 
 
+def _pixmap_size(fields):
+    """Width and height from the two header fields of a pixmap."""
+    try:
+        width, height = (int(t) for t in fields)
+    except ValueError:
+        raise FormatError("malformed pixmap header: expected width and height")
+    if width < 0 or height < 0:
+        raise FormatError(f"negative pixmap size {width} x {height}")
+    return width, height
+
+
 def decode_image(data, order):
     """Inverse of render_iterations under the same palette: symbol rows."""
     pal = {rgb: sym for sym, rgb in enumerate(palette(order))}
@@ -162,20 +173,23 @@ def decode_image(data, order):
         parts = data.split(b"\n", 3)
         if len(parts) < 4:
             raise FormatError("truncated pixmap")
-        width, height = (int(t) for t in parts[1].split())
-        body = parts[3]
-        if len(body) != width * height * 3:
-            raise FormatError("pixel payload size mismatch")
-        it = iter(body)
-        pixels = list(zip(it, it, it))
+        width, height = _pixmap_size(parts[1].split())
+        vals = parts[3]
     elif data.startswith(b"P3"):
-        toks = data.decode("ascii").split()
-        width, height = int(toks[1]), int(toks[2])
-        vals = [int(t) for t in toks[4:]]
-        it = iter(vals)
-        pixels = list(zip(it, it, it))
+        toks = data.split()
+        if len(toks) < 4:
+            raise FormatError("truncated pixmap")
+        width, height = _pixmap_size(toks[1:3])
+        try:
+            vals = [int(t) for t in toks[4:]]
+        except ValueError:
+            raise FormatError("malformed pixel value in text pixmap")
     else:
         raise FormatError("not a portable pixmap")
+    if len(vals) != width * height * 3:
+        raise FormatError("pixel payload size mismatch")
+    it = iter(vals)
+    pixels = list(zip(it, it, it))
     try:
         syms = [pal[p] for p in pixels]
     except KeyError as e:
@@ -219,7 +233,7 @@ def _period_field(point):
 def serialize_census_report(report):
     """Parameter header, then one line per quasigroup: 1-based index, label,
     witness leader string or '-', period at the final iterate ('*' marks a
-    window-capped value)."""
+    period above half the width, reported as the width)."""
     st = report.parameters
     lines = [
         "# census order 4",

@@ -9,21 +9,28 @@ from qows import (
     Const,
     FormatError,
     Index,
+    LengthMismatch,
     OwfSpec,
+    PeriodPoint,
     Quasigroup,
     SymbolOutOfRange,
     census_order4,
     classify,
+    enumerate_order4,
     from_index,
     leader_strings,
     minimal_period,
     period_profile,
     permutation_search,
     preimage_histogram,
+    random_latin,
     serialize_leaders,
 )
 
 import data
+from oracles import reference_witness, window_profile, window_rows
+
+random_squares = st.builds(random_latin, st.integers(2, 6), st.integers(0, 10**6))
 
 
 class TestMinimalPeriod:
@@ -101,6 +108,47 @@ class TestPermutationSearch:
         with pytest.raises(BudgetExceeded):
             permutation_search(ref_square, 5, 1, budget=100)
 
+    @pytest.mark.parametrize("include_indices, strings", [(False, 341), (True, 1555)])
+    def test_budget_counts_inputs_times_leader_strings(self, ref_square,
+                                                        include_indices, strings):
+        from qows import BudgetExceeded
+        work = 4**2 * strings
+        w = permutation_search(ref_square, 2, 4, include_indices, budget=work)
+        assert w == (Const(0),)
+        with pytest.raises(BudgetExceeded):
+            permutation_search(ref_square, 2, 4, include_indices, budget=work - 1)
+
+    def test_huge_n_is_refused_before_any_work(self, ref_square):
+        from qows import BudgetExceeded
+        with pytest.raises(BudgetExceeded):
+            permutation_search(ref_square, 10**9, 0)
+
+    @pytest.mark.parametrize("n, max_len, error", [(0, 2, LengthMismatch),
+                                                   (2, -1, FormatError)])
+    def test_bad_bounds(self, ref_square, n, max_len, error):
+        with pytest.raises(error):
+            permutation_search(ref_square, n, max_len)
+
+    def test_every_square_with_index_leaders_matches_reference(self):
+        for q in enumerate_order4():
+            assert permutation_search(q, 2, 2, True) == reference_witness(q, 2, 2, True)
+
+    @given(random_squares, st.integers(1, 3), st.integers(0, 2), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_random_squares_match_reference(self, q, n, max_len, include_indices):
+        assert (permutation_search(q, n, max_len, include_indices)
+                == reference_witness(q, n, max_len, include_indices))
+
+    @pytest.mark.parametrize("columns", [8, 40])
+    def test_split_batches_match_reference(self, monkeypatch, columns):
+        # 8 columns split each string's 16 inputs in two; 40 split the
+        # strings of one length over several batches
+        import qows.classification as cls
+        monkeypatch.setattr(cls, "_WITNESS_COLUMNS", columns)
+        for k in (1, 6, 46, 47, 355):
+            q = from_index(k)
+            assert permutation_search(q, 2, 2, True) == reference_witness(q, 2, 2, True)
+
 
 class TestPeriodProfile:
     def test_fractal_square_46(self):
@@ -114,7 +162,7 @@ class TestPeriodProfile:
         head = [p.period for p in profile[:8]]
         assert head == data.P47_PROFILE_L0_PREFIX
         assert not any(p.capped for p in profile[:8])
-        # growth is exponential; the window cannot witness the true period
+        # growth is exponential; past half the width the period is capped
         assert all(p.capped and p.period == 4096 for p in profile[8:])
 
     def test_square_1(self):
@@ -126,6 +174,37 @@ class TestPeriodProfile:
         profile = period_profile(q, 0, motif=(0,), width=16, iterations=5)
         assert all(p.period == 1 and not p.capped for p in profile)
 
+    @given(st.integers(1, 576), st.integers(0, 3))
+    @settings(max_examples=20, deadline=None)
+    def test_default_settings_match_the_window(self, index, leader):
+        q = from_index(index)
+        assert period_profile(q, leader) == window_profile(q, leader, (0, 1, 2, 3), 4096, 32)
+
+    @given(st.integers(2, 5), st.integers(0, 10**6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_small_cases_match_the_true_period(self, order, seed, data):
+        q = random_latin(order, seed)
+        symbols = st.integers(0, order - 1)
+        motif = tuple(data.draw(st.lists(symbols, min_size=1, max_size=4)))
+        width = len(motif) * data.draw(st.integers(1, 12))
+        iterations = data.draw(st.integers(1, 4))
+        leader = data.draw(symbols)
+        exact = period_profile(q, leader, motif, width, iterations)
+        window = window_profile(q, leader, motif, width, iterations)
+        # every true period is at most |motif| * order^k, so a window twice
+        # that wide shows it exactly (Fine-Wilf)
+        wide = 2 * len(motif) * order**iterations
+        for e, w, row in zip(exact, window, window_rows(q, leader, motif, wide, iterations)):
+            true = minimal_period(row)
+            assert e == (PeriodPoint(e.k, true, False) if 2 * true <= width
+                         else PeriodPoint(e.k, width, True))
+            if w != e:
+                # only where the window was fooled: its period does not
+                # hold on two copies of the true unit
+                assert e.capped and not w.capped
+                two = row[:2 * true]
+                assert any(two[i] != two[i + w.period] for i in range(2 * true - w.period))
+
     def test_width_validation(self, ref_square):
         with pytest.raises(FormatError):
             period_profile(ref_square, 0, motif=(0, 1, 2), width=16)
@@ -134,6 +213,11 @@ class TestPeriodProfile:
 
 
 class TestClassify:
+    @pytest.mark.parametrize("field, value", [("n", 0), ("max_len", -1), ("alpha", -1)])
+    def test_negative_bounds_rejected(self, field, value):
+        with pytest.raises(FormatError):
+            ClassifySettings(**{field: value})
+
     def test_reference_labels(self, ref_square):
         assert classify(ref_square).is_fractal
         assert classify(from_index(46)).is_fractal
@@ -200,6 +284,11 @@ class TestCensus:
         assert sorted(report.periods) == list(range(1, 577))
         assert report.periods[46].period == 128
         assert report.periods[47].capped
+
+    def test_witnesses_match_reference(self, census_default):
+        report, _ = census_default
+        for k, q in enumerate(enumerate_order4(), 1):
+            assert report.witnesses[k] == reference_witness(q, 2, 4)
 
     def test_worker_pool_is_deterministic(self, census_default):
         report, _ = census_default

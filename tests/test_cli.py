@@ -230,6 +230,9 @@ class TestCensusCommand:
     ["census", "--workers", "0"],
     ["invert", "--index", "5", "--method", "brute", "--output", "01", "--out", "{dir}"],
     ["census", "--seed", "0"],
+    ["census", "--max-leader-len", "-1"],
+    ["classify", "--index", "5", "--alpha", "-1"],
+    ["classify", "--index", "5", "--N", "0"],
 ])
 def test_bad_input_exits_without_traceback(argv, tmp_path, capsys):
     non_ascii = tmp_path / "table.qg"

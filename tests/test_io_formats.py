@@ -187,6 +187,17 @@ class TestRender:
         with pytest.raises(FormatError):
             decode_image(b"P6\n1 1\n255\n\x01\x02\x03", 4)
 
+    @pytest.mark.parametrize("data", [
+        b"P6\nx y\n255\nabc",
+        b"P6\n1\n255\nabc",
+        b"P3\n2",
+        b"P3\n1 1\n255\n0 0 x",
+        b"P3\n1 1\n255\n0 0",
+    ])
+    def test_decode_rejects_malformed_headers(self, data):
+        with pytest.raises(FormatError):
+            decode_image(data, 4)
+
 
 class TestReportSerialization:
     def test_attack_trace_record(self):
