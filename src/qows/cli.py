@@ -6,6 +6,7 @@ subcommands echo their effective configuration as '#' header lines; plain
 value-producing ones print the bare result.
 """
 import argparse
+import functools
 import sys
 
 from . import classification, core, inversion, io_formats, transforms
@@ -214,7 +215,9 @@ def _add_common(sp, quasigroup=True, index=True):
     sp.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    # parsing reads the parser and never changes it, so one serves every call
     p = argparse.ArgumentParser(
         prog="qows",
         description="Quasigroup string transformations, candidate one-way "

@@ -1,20 +1,24 @@
 """Preimage search: brute force, and the structured lookup-table attacks.
 
-The attacks reconstruct the table of intermediate rows that the forward
-computation would have produced. Row 0 is the unknown input A, row N (or 2N
-for the double-reverse function) is the known output B, and two families of
-local relations tie the cells together:
+The single-reverse attack reconstructs the table of intermediate rows that
+the forward computation would have produced. Row 0 is the unknown input A,
+row N is the known output B, and two families of local relations tie the
+cells together:
 
   horizontal   c[i][j] = c[i][j-1] * c[i-1][j]          for j >= 1
   leader       c[i][0] = (leader of step i) * c[i-1][0]
 
-where the leader of step i is a cell of row 0. Any two known values in a
-relation force the third through multiplication or one of the divisions, so
-constraint propagation fills large parts of the table before any guessing,
-and each guess of a row-0 cell triggers a cascade. For the single-reverse
-function the cascades from the bottom and the top meet after about N/3
-guesses; for the double-reverse function no cross-check binds until a full
-input tuple has been guessed, which is what separates their attack costs.
+where the leader of step i is the row-0 cell N - i. Any two known values in
+a relation force the third through multiplication or one of the divisions,
+so constraint propagation fills large parts of the table before any
+guessing, and each guess of a row-0 cell triggers a cascade. The cascades
+from the bottom and the top meet after about N/3 guesses.
+
+The double-reverse function has no such meeting point: no cross-check binds
+until a full input tuple has been guessed, which is what separates the two
+attack costs. Its attack therefore builds no table. For every guess tuple it
+peels the last N steps off the output and compares the middle row with the
+forward r1 pass of the tuple, vectorized over all s^N tuples.
 """
 import os
 import time
@@ -181,65 +185,68 @@ def preimage_histogram(spec, budget=None):
 
 
 class _Grid:
-    """Partial table of intermediate rows with fixpoint propagation.
+    """The r1 table of intermediate rows with fixpoint propagation.
 
-    Cells are addressed (i, j): i = 0..rows-1 top to bottom, j = 0..n-1.
-    Relations are triples of cells (x, y, z) constrained by x * y = z.
+    Rows 0..n run from the input to the output. Cell (i, j) is the int
+    i*n + j, and values holds -1 for an unknown cell. Relations are triples
+    of cells (x, y, z) constrained by x * y = z: a horizontal relation for
+    each j >= 1 of rows 1..n, then the leader relation of that row, whose
+    leader is input cell n - i. by_cell lists each cell's relations in that
+    order; lookups depends on it, on the LIFO queue and on the early return.
     """
 
-    def __init__(self, q, n, rows, leader_of_step):
-        self.q = q
-        self.n = n
-        self.rows = rows
-        self.values = {}
+    def __init__(self, q, n):
+        self.table, self.ldiv, self.rdiv = q.table, q._ldiv, q._rdiv
+        self.values = [-1] * ((n + 1) * n)
         self.lookups = 0
-        rels = []
-        for i in range(1, rows):
-            for j in range(1, n):
-                rels.append(((i, j - 1), (i - 1, j), (i, j)))
-            rels.append((leader_of_step(i), (i - 1, 0), (i, 0)))
-        self.by_cell = {}
-        for rel in rels:
-            for cell in set(rel):
-                self.by_cell.setdefault(cell, []).append(rel)
+        by_cell = [[] for _ in self.values]
+        for i in range(1, n + 1):
+            row, above = i * n, (i - 1) * n
+            rels = [(row + j - 1, above + j, row + j) for j in range(1, n)]
+            rels.append((n - i, above, row))
+            for rel in rels:
+                for cell in set(rel):
+                    by_cell[cell].append(rel)
+        self.by_cell = [tuple(rels) for rels in by_cell]
 
-    def assign(self, cell, value, trail):
-        self.values[cell] = value
-        trail.append(cell)
-
-    def propagate(self, seeds, trail):
-        """Derive every forced cell reachable from the seeds.
+    def propagate(self, queue, trail):
+        """Derive every forced cell reachable from the assigned cells on
+        queue, which is consumed.
 
         Returns False on contradiction. All assignments are recorded on the
         trail so the caller can undo them.
         """
-        q = self.q
-        values = self.values
-        queue = list(seeds)
+        table, ldiv, rdiv = self.table, self.ldiv, self.rdiv
+        values, by_cell = self.values, self.by_cell
+        record, pop, push = trail.append, queue.pop, queue.append
+        lookups = self.lookups
         while queue:
-            cell = queue.pop()
-            for (xc, yc, zc) in self.by_cell.get(cell, ()):
-                xv = values.get(xc)
-                yv = values.get(yc)
-                zv = values.get(zc)
-                if xv is not None and yv is not None:
-                    w = q.table[xv][yv]
-                    self.lookups += 1
-                    if zv is None:
-                        self.assign(zc, w, trail)
-                        queue.append(zc)
+            for xc, yc, zc in by_cell[pop()]:
+                xv = values[xc]
+                yv = values[yc]
+                zv = values[zc]
+                if xv >= 0 and yv >= 0:
+                    w = table[xv][yv]
+                    lookups += 1
+                    if zv < 0:
+                        values[zc] = w
+                        record(zc)
+                        push(zc)
                     elif zv != w:
+                        self.lookups = lookups
                         return False
-                elif zv is not None and xv is not None:
-                    w = q._ldiv[xv][zv]
-                    self.lookups += 1
-                    self.assign(yc, w, trail)
-                    queue.append(yc)
-                elif zv is not None and yv is not None:
-                    w = q._rdiv[yv][zv]
-                    self.lookups += 1
-                    self.assign(xc, w, trail)
-                    queue.append(xc)
+                elif zv >= 0:
+                    if xv >= 0:
+                        values[yc] = ldiv[xv][zv]
+                        lookups += 1
+                        record(yc)
+                        push(yc)
+                    elif yv >= 0:
+                        values[xc] = rdiv[yv][zv]
+                        lookups += 1
+                        record(xc)
+                        push(xc)
+        self.lookups = lookups
         return True
 
 
@@ -259,41 +266,42 @@ def attack_r1(q, b, first_hit=False):
     n = len(b)
     notes = _hypothesis_warnings(q)
     s = q.order
-    grid = _Grid(q, n, rows=n + 1, leader_of_step=lambda i: (0, n - i))
-    trail = []
-    for j in range(n):
-        grid.assign((n, j), b[j], trail)
-    ok = grid.propagate([(n, j) for j in range(n)], trail)
+    grid = _Grid(q, n)
+    values = grid.values
+    values[n * n:] = b
+    ok = grid.propagate(list(range(n * n, n * n + n)), [])
     assert ok, "output row alone cannot contradict"
-    stats = {"guesses": 0}
+    guesses = 0
     found = []
 
     def dfs():
-        pos = next((j for j in range(n) if (0, j) not in grid.values), None)
-        if pos is None:
-            stats["guesses"] += 1
-            cand = tuple(grid.values[(0, j)] for j in range(n))
+        nonlocal guesses
+        for pos in range(n):
+            if values[pos] < 0:
+                break
+        else:
+            guesses += 1
+            cand = tuple(values[:n])
             grid.lookups += n * n
             if _r1_eval(q, cand) == b:
                 found.append(cand)
-                if first_hit:
-                    return True
+                return first_hit
             return False
         for v in range(s):
-            sub = []
-            grid.assign((0, pos), v, sub)
-            if grid.propagate([(0, pos)], sub):
+            values[pos] = v
+            sub = [pos]
+            if grid.propagate([pos], sub):
                 if dfs():
                     return True
             else:
-                stats["guesses"] += 1
+                guesses += 1
             for cell in sub:
-                del grid.values[cell]
+                values[cell] = -1
         return False
 
     dfs()
     found.sort()
-    return AttackTrace(preimages=found, guesses=stats["guesses"],
+    return AttackTrace(preimages=found, guesses=guesses,
                        lookups=grid.lookups, elapsed=time.perf_counter() - t0,
                        warnings=notes)
 

@@ -1,14 +1,19 @@
-"""Pure-Python reference versions of the classification engines.
+"""Pure-Python reference versions of the classification engines and of the
+single-reverse attack.
 
 The package computes witnesses with a batched, vectorized search and
 periods from the exact repeating unit. These are the direct definitions
 they replace: one leader string at a time through the reference
 transformations, and the minimal period of a width-symbol window.
+
+The attack runs on a grid of int cells; reference_attack_r1 is the same
+search on a grid of (row, column) cells in a dict, with the same relation
+order, LIFO queue and early return, so its counters must match exactly.
 """
 import itertools
 
 from qows import OwfSpec, PeriodPoint, leader_strings, minimal_period
-from qows.transforms import e_row, resolve_leaders
+from qows.transforms import e_row, r1, resolve_leaders
 
 
 def reference_witness(q, n, max_len, include_indices=False):
@@ -49,3 +54,100 @@ def window_profile(q, leader, motif, width, iterations):
         points.append(PeriodPoint(k, p, False) if 2 * p <= width
                       else PeriodPoint(k, width, True))
     return tuple(points)
+
+
+class _ReferenceGrid:
+    """Partial table of intermediate rows with fixpoint propagation.
+
+    Cells are addressed (i, j): i = 0..rows-1 top to bottom, j = 0..n-1.
+    Relations are triples of cells (x, y, z) constrained by x * y = z.
+    """
+
+    def __init__(self, q, n, rows, leader_of_step):
+        self.q = q
+        self.values = {}
+        self.lookups = 0
+        rels = []
+        for i in range(1, rows):
+            for j in range(1, n):
+                rels.append(((i, j - 1), (i - 1, j), (i, j)))
+            rels.append((leader_of_step(i), (i - 1, 0), (i, 0)))
+        self.by_cell = {}
+        for rel in rels:
+            for cell in set(rel):
+                self.by_cell.setdefault(cell, []).append(rel)
+
+    def assign(self, cell, value, trail):
+        self.values[cell] = value
+        trail.append(cell)
+
+    def propagate(self, seeds, trail):
+        """Derive every forced cell reachable from the seeds; False on
+        contradiction."""
+        q = self.q
+        values = self.values
+        queue = list(seeds)
+        while queue:
+            cell = queue.pop()
+            for (xc, yc, zc) in self.by_cell.get(cell, ()):
+                xv = values.get(xc)
+                yv = values.get(yc)
+                zv = values.get(zc)
+                if xv is not None and yv is not None:
+                    w = q.table[xv][yv]
+                    self.lookups += 1
+                    if zv is None:
+                        self.assign(zc, w, trail)
+                        queue.append(zc)
+                    elif zv != w:
+                        return False
+                elif zv is not None and xv is not None:
+                    w = q._ldiv[xv][zv]
+                    self.lookups += 1
+                    self.assign(yc, w, trail)
+                    queue.append(yc)
+                elif zv is not None and yv is not None:
+                    w = q._rdiv[yv][zv]
+                    self.lookups += 1
+                    self.assign(xc, w, trail)
+                    queue.append(xc)
+        return True
+
+
+def reference_attack_r1(q, b, first_hit=False):
+    """(preimages, guesses, lookups) of the single-reverse attack on b."""
+    b = tuple(b)
+    n = len(b)
+    grid = _ReferenceGrid(q, n, rows=n + 1, leader_of_step=lambda i: (0, n - i))
+    trail = []
+    for j in range(n):
+        grid.assign((n, j), b[j], trail)
+    assert grid.propagate([(n, j) for j in range(n)], trail)
+    stats = {"guesses": 0}
+    found = []
+
+    def dfs():
+        pos = next((j for j in range(n) if (0, j) not in grid.values), None)
+        if pos is None:
+            stats["guesses"] += 1
+            cand = tuple(grid.values[(0, j)] for j in range(n))
+            grid.lookups += n * n
+            if r1(q, cand) == b:
+                found.append(cand)
+                if first_hit:
+                    return True
+            return False
+        for v in range(q.order):
+            sub = []
+            grid.assign((0, pos), v, sub)
+            if grid.propagate([(0, pos)], sub):
+                if dfs():
+                    return True
+            else:
+                stats["guesses"] += 1
+            for cell in sub:
+                del grid.values[cell]
+        return False
+
+    dfs()
+    return sorted(found), stats["guesses"], grid.lookups

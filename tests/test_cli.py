@@ -247,6 +247,20 @@ def test_bad_input_exits_without_traceback(argv, tmp_path, capsys):
     assert err and "Traceback" not in err
 
 
+def test_successive_calls_do_not_share_options(capsys, ref_square_file):
+    # one parser serves every main() call; no option value may carry over
+    _, out, _ = run_cli(capsys, "classify", "--index", "46", "--alpha", "1")
+    assert "# alpha 1" in out.splitlines()
+    _, out, _ = run_cli(capsys, "classify", "--index", "46")
+    assert "# alpha 4" in out.splitlines()
+    invert = ["invert", "--method", "attack-r1", "--quasigroup", ref_square_file,
+              "--output", "00103"]
+    _, out, _ = run_cli(capsys, *invert, "--first-hit")
+    assert "preimages 1" in out.splitlines()
+    _, out, _ = run_cli(capsys, *invert)
+    assert "preimages 4" in out.splitlines()
+
+
 def test_console_script_entry_point(ref_square_file):
     # the installed executable, end to end
     proc = subprocess.run(

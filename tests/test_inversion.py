@@ -1,7 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qows import (
     AlgebraicStructureWarning,
@@ -20,11 +23,13 @@ from qows import (
     r1,
     r2,
     r_n,
+    random_latin,
     resolve_budget,
     unpack_string,
 )
 
 import data
+from oracles import reference_attack_r1
 
 
 def r1_preimages_by_enumeration(q, b):
@@ -124,6 +129,62 @@ class TestAttackR1:
         trace = attack_r1(ref_square, data.R1_ATTACK_B)
         assert trace.lookups > 0
         assert trace.elapsed >= 0
+
+
+def _attack_r1_result(q, b, first_hit=False):
+    trace = attack_r1(q, b, first_hit=first_hit)
+    return trace.preimages, trace.guesses, trace.lookups
+
+
+@pytest.mark.filterwarnings("ignore::qows.AlgebraicStructureWarning")
+class TestAttackR1Grid:
+    """The int-cell grid against the dict-cell reference, counters included."""
+
+    @given(st.integers(2, 16), st.integers(0, 10**6), st.booleans(),
+           st.booleans(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, order, seed, planted, first_hit, payload):
+        q = random_latin(order, seed)
+        # keeps s^(N/3), the attack's typical cost, at most 64
+        n = payload.draw(st.integers(1, min(10, int(18 / math.log2(order)))))
+        word = tuple(payload.draw(st.lists(st.integers(0, order - 1),
+                                           min_size=n, max_size=n)))
+        # an arbitrary target is contradiction-heavy and often has no preimage
+        b = r1(q, word) if planted else word
+        assert _attack_r1_result(q, b, first_hit) == reference_attack_r1(q, b, first_hit)
+
+    def test_benchmark_squares_match_reference(self, benchmark_squares):
+        rng = random.Random(9)
+        for q in benchmark_squares:
+            for b in (r1(q, [rng.randrange(4) for _ in range(9)]),
+                      tuple(rng.randrange(4) for _ in range(9))):
+                assert _attack_r1_result(q, b) == reference_attack_r1(q, b)
+
+    def test_lookups_count_table_reads(self, monkeypatch):
+        import qows.inversion as inv
+        monkeypatch.setattr(inv, "_hypothesis_warnings", lambda q: [])
+        reads = [0]
+
+        class CountedRow(tuple):
+            def __getitem__(self, k):
+                reads[0] += 1
+                return tuple.__getitem__(self, k)
+
+        rng = random.Random(5)
+        for order in (3, 4, 5, 8):
+            for seed in range(3):
+                q = random_latin(order, seed)
+                for name in ("table", "_ldiv", "_rdiv"):
+                    rows = tuple(CountedRow(row) for row in getattr(q, name))
+                    object.__setattr__(q, name, rows)
+                for n in range(1, 8):
+                    a = [rng.randrange(order) for _ in range(n)]
+                    b = r1(q, a)
+                    for first_hit in (False, True):
+                        reads[0] = 0
+                        trace = attack_r1(q, b, first_hit=first_hit)
+                        # verifying a candidate through r1 reads n * n cells
+                        assert reads[0] == trace.lookups, (order, seed, n, first_hit)
 
 
 class TestAttackR2:
