@@ -19,10 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import transforms
 from .core import enumerate_order4
 from .errors import BudgetExceeded, EmptyString, FormatError, LengthMismatch
 from .inversion import resolve_budget
-from .transforms import Const, Index, e_columns, e_row, flat_tables, periodic_row
+from .transforms import Const, Index, digit_columns, e_row, family_columns, family_steps
+from .transforms import flat_tables, pack_columns, periodic_row, symbol_dtype
 # Unused here; perfbench/tracing.py rebinds these names to count calls.
 from .transforms import OwfSpec, e_transform, r_n  # noqa: F401
 
@@ -72,11 +74,6 @@ def _tokens(order, n, include_indices):
     return tokens
 
 
-# (square, leader string, input) columns evaluated together by the witness
-# search. Fixed, so its memory does not grow with the order or max_len.
-_WITNESS_COLUMNS = 1 << 18
-
-
 def _check_search(order, n, max_len, include_indices, budget):
     """Validate a witness search and charge s^n inputs per leader string
     against the budget, before any work."""
@@ -98,18 +95,6 @@ def _check_search(order, n, max_len, include_indices, budget):
         raise over
 
 
-def _digits(lo, hi, base, count):
-    """The count base-`base` digits of each of lo..hi-1, most significant
-    first, as a (count, hi - lo) array: inputs of Q^n or leader strings, in
-    product order."""
-    t = np.arange(lo, hi, dtype=np.intp)
-    out = np.empty((count, hi - lo), dtype=np.intp)
-    for r in range(count - 1, -1, -1):
-        out[r] = t % base
-        t //= base
-    return out
-
-
 def _bijective(mul, s, n, squares, ids):
     """(len(squares), strings) mask: is leader string ids[:, k] a witness for
     the square whose table starts at squares[i] * s * s in mul?
@@ -121,30 +106,17 @@ def _bijective(mul, s, n, squares, ids):
     total = s**n
     strings = ids.shape[1]
     groups = len(squares) * strings
-    chunk = min(total, max(1, _WITNESS_COLUMNS // groups))
+    chunk = min(total, max(1, transforms.CHUNK_COLUMNS // groups))
     group_tok = np.tile(ids, len(squares))
     group_off = np.repeat(np.asarray(squares, dtype=np.intp) * (s * s), strings)
-    group_base = np.arange(groups, dtype=np.intp) * total
-    seen = np.zeros(groups * total, dtype=bool)
+    seen = np.zeros((groups, total), dtype=bool)
     for lo in range(0, total, chunk):
         m = min(total, lo + chunk) - lo
-        inputs = np.tile(_digits(lo, lo + m, s, n).astype(mul.dtype), groups)
-        state = inputs.copy()
-        offset = np.repeat(group_off, m)
-        for tok in group_tok:
-            lead = np.repeat(tok, m)
-            if tok.max() >= s:       # Index(j) leads with input symbol j
-                cols = np.flatnonzero(lead >= s)
-                lead[cols] = inputs[lead[cols] - s, cols]
-            e_columns(mul, s, lead, state, offset)
-        for j in 2 * tuple(range(n - 1, -1, -1)):
-            e_columns(mul, s, inputs[j], state, offset)
-        packed = np.zeros(groups * m, dtype=np.intp)
-        for row in state:
-            packed *= s
-            packed += row
-        packed += np.repeat(group_base, m)
-        seen[packed] = True
+        inputs = np.tile(digit_columns(lo, lo + m, s, n, mul.dtype), groups)
+        leaders = (np.repeat(tok, m) for tok in group_tok)
+        state = family_columns(mul, s, family_steps(s, n, leaders), inputs,
+                               np.repeat(group_off, m))
+        seen[np.arange(groups).repeat(m), pack_columns(state, s)] = True
     return seen.reshape(len(squares), strings, total).all(axis=2)
 
 
@@ -155,7 +127,7 @@ def _first_witnesses(squares, n, max_len, include_indices):
     tokens = _tokens(s, n, include_indices)
     ntok = len(tokens)
     mul = np.concatenate([flat_tables(q)[0] for q in squares])
-    per_block = max(1, _WITNESS_COLUMNS // s**n)    # (square, string) pairs
+    per_block = max(1, transforms.CHUNK_COLUMNS // s**n)    # (square, string) pairs
     witnesses = [None] * len(squares)
     pending = list(range(len(squares)))
     for length in range(max_len + 1):
@@ -168,7 +140,7 @@ def _first_witnesses(squares, n, max_len, include_indices):
                 batch = [i for i in batch if witnesses[i] is None]
                 if not batch:
                     break
-                ids = _digits(lo, min(count, lo + step), ntok, length)
+                ids = digit_columns(lo, min(count, lo + step), ntok, length, symbol_dtype(ntok))
                 for i, hits in zip(batch, _bijective(mul, s, n, batch, ids)):
                     if hits.any():
                         witnesses[i] = tuple(tokens[t] for t in ids[:, hits.argmax()])

@@ -106,11 +106,9 @@ def _cmd_invert(args, parser):
         spec = transforms.OwfSpec(q, len(b), leaders)
         trace = inversion.brute_preimages(spec, b, budget=args.budget)
         header.insert(2, ("leaders", io_formats.serialize_leaders(leaders)))
-    elif args.method == "attack-r1":
-        trace = inversion.attack_r1(q, b, first_hit=args.first_hit)
     else:
-        trace = inversion.attack_r2(q, b, budget=args.budget,
-                                    first_hit=args.first_hit)
+        attack = inversion.attack_r1 if args.method == "attack-r1" else inversion.attack_r2
+        trace = attack(q, b, budget=args.budget, first_hit=args.first_hit)
     text = _config_lines("invert", header)
     text += io_formats.serialize_attack_trace(trace, q.order)
     _emit(args, text)

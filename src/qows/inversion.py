@@ -27,13 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, LengthMismatch
-from .transforms import Const, Index, check_string, unpack_string
-from .transforms import e_columns, e_inverse_columns, flat_tables, symbol_dtype
-from .transforms import r1 as _r1_eval
+from . import transforms
+from .errors import BudgetExceeded, FormatError, LengthMismatch
+from .transforms import check_string, digit_columns, e_inverse_columns, family_columns
+from .transforms import family_steps, flat_tables, leader_ids, pack_columns, symbol_dtype
+from .transforms import r1 as _r1_eval, unpack_string
 
 DEFAULT_BUDGET = 1 << 24
-_CHUNK_ROWS = 1 << 18
 
 
 class AlgebraicStructureWarning(UserWarning):
@@ -46,9 +46,10 @@ def resolve_budget(budget=None):
     if budget is not None:
         return int(budget)
     env = os.environ.get("QOWS_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+    try:
+        return int(env) if env else DEFAULT_BUDGET
+    except ValueError:
+        raise FormatError(f"QOWS_BUDGET must be an integer, got {env!r}")
 
 
 @dataclass
@@ -107,26 +108,20 @@ def _hypothesis_warnings(q):
     return notes
 
 
-def _unpack_block(start, count, s, n):
-    """Columns start..start+count-1 of the packed enumeration of Q^n."""
-    k = np.arange(start, start + count, dtype=np.int64)
-    out = np.empty((n, count), dtype=symbol_dtype(s))
-    for j in range(n - 1, -1, -1):
-        out[j] = k % s
-        k //= s
-    return out
-
-
-def _forward_block(mul, s, steps, block):
-    """Evaluate the leader tokens steps on every column of block.
-
-    Index leaders resolve against each column's original symbols, so the
-    leader of a step is itself a row vector.
-    """
-    cur = block.copy()
-    for tok in steps:
-        e_columns(mul, s, tok.value if isinstance(tok, Const) else block[tok.j], cur)
-    return cur, len(steps) * cur.size
+def _domain_images(spec, budget):
+    """Charge s^N against the budget, then return a generator of
+    (inputs, images) blocks over all of Q^N in packed order."""
+    s, n = spec.q.order, spec.n
+    total = s**n
+    limit = resolve_budget(budget)
+    if total > limit:
+        raise BudgetExceeded(f"domain size {total} exceeds budget {limit}")
+    mul, _ = flat_tables(spec.q)
+    steps = tuple(family_steps(s, n, leader_ids(spec)))
+    chunk = transforms.CHUNK_COLUMNS
+    blocks = (digit_columns(lo, min(total, lo + chunk), s, n, mul.dtype)
+              for lo in range(0, total, chunk))
+    return ((inputs, family_columns(mul, s, steps, inputs)) for inputs in blocks)
 
 
 def brute_preimages(spec, b, budget=None):
@@ -138,49 +133,26 @@ def brute_preimages(spec, b, budget=None):
     """
     t0 = time.perf_counter()
     b = tuple(b)
-    s = spec.q.order
-    n = spec.n
+    s, n = spec.q.order, spec.n
     if len(b) != n:
         raise LengthMismatch(f"output length {len(b)} != N = {n}")
     check_string(spec.q, b)
-    total = s**n
-    limit = resolve_budget(budget)
-    if total > limit:
-        raise BudgetExceeded(f"domain size {total} exceeds budget {limit}")
-    mul, _ = flat_tables(spec.q)
-    steps = list(spec.leaders) + [Index(n - 1 - k) for k in range(n)] * 2
-    target = np.array(b, dtype=mul.dtype)[:, None]
+    target = np.array(b, dtype=symbol_dtype(s))[:, None]
     found = []
-    lookups = 0
-    for start in range(0, total, _CHUNK_ROWS):
-        count = min(_CHUNK_ROWS, total - start)
-        block = _unpack_block(start, count, s, n)
-        image, lk = _forward_block(mul, s, steps, block)
-        lookups += lk
-        hits = np.nonzero((image == target).all(axis=0))[0]
-        found.extend(tuple(block[:, i].tolist()) for i in hits)
-    return AttackTrace(preimages=found, guesses=total, lookups=lookups,
+    for inputs, image in _domain_images(spec, budget):
+        found += map(tuple, inputs.T[(image == target).all(axis=0)].tolist())
+    return AttackTrace(preimages=found, guesses=s**n,
+                       lookups=(len(spec.leaders) + 2 * n) * n * s**n,
                        elapsed=time.perf_counter() - t0)
 
 
 def preimage_histogram(spec, budget=None):
     """Count preimages of every output value by full forward enumeration."""
-    s = spec.q.order
-    n = spec.n
-    total = s**n
-    limit = resolve_budget(budget)
-    if total > limit:
-        raise BudgetExceeded(f"domain size {total} exceeds budget {limit}")
-    mul, _ = flat_tables(spec.q)
-    steps = list(spec.leaders) + [Index(n - 1 - k) for k in range(n)] * 2
-    counts = np.zeros(total, dtype=np.int64)
-    weights = (s ** np.arange(n - 1, -1, -1, dtype=np.int64))
-    for start in range(0, total, _CHUNK_ROWS):
-        count = min(_CHUNK_ROWS, total - start)
-        block = _unpack_block(start, count, s, n)
-        image, _ = _forward_block(mul, s, steps, block)
-        packed = weights @ image.astype(np.int64)
-        counts += np.bincount(packed, minlength=total)
+    s, n = spec.q.order, spec.n
+    blocks = _domain_images(spec, budget)
+    counts = np.zeros(s**n, dtype=np.int64)
+    for _, image in blocks:
+        counts += np.bincount(pack_columns(image, s), minlength=s**n)
     return PreimageHistogram(counts=counts, order=s, n=n)
 
 
@@ -250,13 +222,14 @@ class _Grid:
         return True
 
 
-def attack_r1(q, b, first_hit=False):
+def attack_r1(q, b, budget=None, first_hit=False):
     """Invert the single-reverse function by table completion and guessing.
 
     The known output row seeds an upward cascade of left divisions; row-0
     cells are then guessed in ascending position order, each guess propagated
     to a fixpoint, until the whole input row is forced. Complete candidates
     are verified by forward evaluation, so every returned preimage is exact.
+    Each guess is charged against the budget as it is made.
 
     Returns an AttackTrace; an empty preimage list is a valid outcome.
     """
@@ -266,6 +239,7 @@ def attack_r1(q, b, first_hit=False):
     n = len(b)
     notes = _hypothesis_warnings(q)
     s = q.order
+    limit = resolve_budget(budget)
     grid = _Grid(q, n)
     values = grid.values
     values[n * n:] = b
@@ -274,13 +248,18 @@ def attack_r1(q, b, first_hit=False):
     guesses = 0
     found = []
 
-    def dfs():
+    def charge():
         nonlocal guesses
+        guesses += 1
+        if guesses > limit:
+            raise BudgetExceeded(f"guess count exceeds budget {limit}")
+
+    def dfs():
         for pos in range(n):
             if values[pos] < 0:
                 break
         else:
-            guesses += 1
+            charge()
             cand = tuple(values[:n])
             grid.lookups += n * n
             if _r1_eval(q, cand) == b:
@@ -294,7 +273,7 @@ def attack_r1(q, b, first_hit=False):
                 if dfs():
                     return True
             else:
-                guesses += 1
+                charge()
             for cell in sub:
                 values[cell] = -1
         return False
@@ -307,16 +286,9 @@ def attack_r1(q, b, first_hit=False):
 
 
 def attack_r2(q, b, budget=None, first_hit=False):
-    """Invert the double-reverse function.
-
-    Follows the same table-completion scheme extended to 2N rows. The known
-    rows at the bottom constrain nothing about the guessed input prefix
-    until all N positions are chosen, so the attack degenerates to s^N
-    completed branches: each guess tuple determines the middle row twice,
-    once by peeling inverse transformations down from the output and once by
-    forward evaluation from the candidate, and per-step bijectivity makes
-    that single comparison equivalent to checking the whole table. Both
-    derivations are evaluated for all tuples in packed order, vectorized.
+    """Invert the double-reverse function by scanning all s^N guess tuples
+    in packed order (see the module docstring). Per-step bijectivity makes
+    the one comparison of the middle row decide the whole table.
     """
     t0 = time.perf_counter()
     b = tuple(b)
@@ -333,10 +305,9 @@ def attack_r2(q, b, budget=None, first_hit=False):
 
     # prefix chunking keeps peak memory at chunk * n cells
     prefix_len = 0
-    while s ** (n - prefix_len) > _CHUNK_ROWS and prefix_len < n:
+    while s ** (n - prefix_len) > transforms.CHUNK_COLUMNS and prefix_len < n:
         prefix_len += 1
     chunk_size = s ** (n - prefix_len)
-    r1_steps = [Index(n - 1 - k) for k in range(n)]
     found = []
     guesses = 0
     for pstart in range(s**prefix_len):
@@ -352,12 +323,13 @@ def attack_r2(q, b, budget=None, first_hit=False):
             guess = np.resize(np.arange(s, dtype=mid.dtype), mid.shape[1])
             e_inverse_columns(ldiv, s, guess, mid)
             lookups += mid.size
-        block = _unpack_block(pstart * chunk_size, chunk_size, s, n)
-        image, lk = _forward_block(mul, s, r1_steps, block)
-        lookups += lk
+        block = digit_columns(pstart * chunk_size, (pstart + 1) * chunk_size,
+                              s, n, mul.dtype)
+        image = family_columns(mul, s, family_steps(s, n, reverses=1), block)
+        lookups += n * block.size
         guesses += chunk_size
-        hits = np.nonzero((image == mid).all(axis=0))[0][:1 if first_hit else None]
-        found.extend(tuple(block[:, i].tolist()) for i in hits)
+        hits = block.T[(image == mid).all(axis=0)][:1 if first_hit else None]
+        found += map(tuple, hits.tolist())
         if first_hit and found:
             break
     found.sort()

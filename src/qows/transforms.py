@@ -15,6 +15,7 @@ Leader application order follows the worked numeric examples: the resolved
 leader sequence is consumed left to right, the first listed leader applied
 first, and the reversed input contributes (a_{N-1}, ..., a_0) in that order.
 """
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +122,62 @@ def e_inverse_columns(ldiv, order, leader, state):
         np.multiply(state[j - 1] if j else leader, order, out=idx, dtype=np.intp)
         idx += state[j]
         np.take(ldiv, idx, out=state[j])
+    return state
+
+
+# Columns per block in every bulk path.
+CHUNK_COLUMNS = 1 << 18
+
+
+def family_steps(order, n, leaders=(), reverses=2):
+    """An iterator over the token ids of the family member: leaders (which
+    may be a generator of per-column steps), then the reversed input twice;
+    r1 reverses once."""
+    rev = range(order + n - 1, order - 1, -1)
+    return itertools.chain(leaders, *[rev] * reverses)
+
+
+def leader_ids(spec):
+    """The token ids of spec's preprocessing leaders."""
+    s = spec.q.order
+    return tuple(s + t.j if isinstance(t, Index) else t.value for t in spec.leaders)
+
+
+def digit_columns(lo, hi, base, n, dtype):
+    """Strings lo..hi-1 of base^n in pack_string order, as the columns of
+    an (n, hi - lo) array of dtype."""
+    t = np.arange(lo, hi, dtype=np.int64)
+    out = np.empty((n, hi - lo), dtype=dtype)
+    for row in out[::-1]:
+        np.remainder(t, base, out=row, casting="unsafe")
+        t //= base
+    return out
+
+
+def pack_columns(state, base):
+    """pack_string of every column of state, as intp."""
+    packed = np.zeros(state.shape[1], dtype=np.intp)
+    for row in state:
+        packed *= base
+        packed += row
+    return packed
+
+
+def family_columns(mul, order, steps, inputs, offset=None):
+    """One e-step per step on a copy of inputs, unchecked; mul and offset
+    as for e_columns. A step is a token id, or an array of one per column
+    (resolved in place). Id l < order leads with the constant l, id
+    order + j with each column's input symbol j.
+    """
+    state = inputs.copy()
+    for step in steps:
+        if np.ndim(step):
+            if step.max() >= order:
+                cols = np.flatnonzero(step >= order)
+                step[cols] = inputs[step[cols] - order, cols]
+        elif step >= order:
+            step = inputs[step - order]
+        e_columns(mul, order, step, state, offset)
     return state
 
 

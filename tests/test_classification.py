@@ -143,8 +143,8 @@ class TestPermutationSearch:
     def test_split_batches_match_reference(self, monkeypatch, columns):
         # 8 columns split each string's 16 inputs in two; 40 split the
         # strings of one length over several batches
-        import qows.classification as cls
-        monkeypatch.setattr(cls, "_WITNESS_COLUMNS", columns)
+        import qows.transforms as tr
+        monkeypatch.setattr(tr, "CHUNK_COLUMNS", columns)
         for k in (1, 6, 46, 47, 355):
             q = from_index(k)
             assert permutation_search(q, 2, 2, True) == reference_witness(q, 2, 2, True)

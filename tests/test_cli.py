@@ -80,6 +80,14 @@ class TestInvert:
         assert body[1] == "guesses 16"
         assert "01230" in body
 
+    def test_attack_r1_budget(self, capsys):
+        # square 355 needs 16 guesses for 0320
+        argv = ["invert", "--method", "attack-r1", "--index", "355", "--output", "0320"]
+        code, out, _ = run_cli(capsys, *argv, "--budget", "16")
+        assert code == 0 and "guesses 16" in out.splitlines()
+        code, out, err = run_cli(capsys, *argv, "--budget", "15")
+        assert code == 1 and out == "" and "budget 15" in err
+
     def test_attack_r2(self, capsys, ref_square_file):
         code, out, _ = run_cli(capsys, "invert", "--method", "attack-r2",
                                "--quasigroup", ref_square_file, "--output", "03202")
@@ -233,11 +241,14 @@ class TestCensusCommand:
     ["census", "--max-leader-len", "-1"],
     ["classify", "--index", "5", "--alpha", "-1"],
     ["classify", "--index", "5", "--N", "0"],
+    ["QOWS_BUDGET=abc", "invert", "--index", "5", "--method", "brute", "--output", "01"],
 ])
-def test_bad_input_exits_without_traceback(argv, tmp_path, capsys):
+def test_bad_input_exits_without_traceback(argv, tmp_path, capsys, monkeypatch):
     non_ascii = tmp_path / "table.qg"
     non_ascii.write_bytes("4\n0 1 2 3\n1 2 3 \u00e9\n".encode("utf-8"))
     argv = [a.format(dir=tmp_path, non_ascii=non_ascii) for a in argv]
+    while "=" in argv[0]:       # leading NAME=value items set the environment
+        monkeypatch.setenv(*argv.pop(0).split("=", 1))
     try:
         code = main(argv)
     except SystemExit as e:

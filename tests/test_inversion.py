@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from qows import (
     BudgetExceeded,
     Const,
     EmptyString,
+    FormatError,
     Index,
     OwfSpec,
     Quasigroup,
@@ -55,6 +57,11 @@ class TestBudget:
         # explicit argument beats the environment
         assert resolve_budget(128) == 128
 
+    def test_env_not_an_integer(self, monkeypatch):
+        monkeypatch.setenv("QOWS_BUDGET", "abc")
+        with pytest.raises(FormatError):
+            resolve_budget()
+
     def test_brute_budget_exceeded(self, ref_square):
         with pytest.raises(BudgetExceeded):
             brute_preimages(OwfSpec(ref_square, 5, ()), data.R2_OUTPUT, budget=100)
@@ -66,6 +73,19 @@ class TestBudget:
     def test_histogram_budget_exceeded(self, ref_square):
         with pytest.raises(BudgetExceeded):
             preimage_histogram(OwfSpec(ref_square, 5, ()), budget=100)
+
+    def test_attack_r1_charges_each_guess(self, ref_square):
+        b = data.R1_ATTACK_B
+        full = attack_r1(ref_square, b)
+        exact = attack_r1(ref_square, b, budget=data.R1_ATTACK_GUESSES)
+        assert (exact.preimages, exact.guesses) == (full.preimages, full.guesses)
+        with pytest.raises(BudgetExceeded):
+            attack_r1(ref_square, b, budget=data.R1_ATTACK_GUESSES - 1)
+
+    def test_attack_r1_reads_env_budget(self, ref_square, monkeypatch):
+        monkeypatch.setenv("QOWS_BUDGET", str(data.R1_ATTACK_GUESSES - 1))
+        with pytest.raises(BudgetExceeded):
+            attack_r1(ref_square, data.R1_ATTACK_B)
 
 
 class TestBrute:
@@ -210,10 +230,10 @@ class TestAttackR2:
         assert first.preimages == data.R2_ATTACK_PREIMAGES[:1]
 
     def test_chunked_path_matches_unchunked(self, ref_square, monkeypatch):
-        import qows.inversion as inv
+        import qows.transforms as tr
         b = r2(ref_square, (2, 0, 1, 3, 0, 2))
         whole = attack_r2(ref_square, b).preimages
-        monkeypatch.setattr(inv, "_CHUNK_ROWS", 64)
+        monkeypatch.setattr(tr, "CHUNK_COLUMNS", 64)
         assert attack_r2(ref_square, b).preimages == whole
 
 
@@ -236,6 +256,21 @@ class TestHypothesisWarnings:
 
 
 class TestHistogram:
+    @pytest.mark.parametrize("columns", [64, 100])
+    def test_chunked_paths_match_unchunked(self, ref_square, monkeypatch, columns):
+        # 4^5 inputs: 16 blocks of 64, or 11 of 100 with a short last one
+        import qows.transforms as tr
+        spec = OwfSpec(ref_square, 5, (Const(3), Index(1), Index(4)))
+        b = r_n(spec, (2, 0, 1, 3, 0))
+        whole = brute_preimages(spec, b)
+        counts = preimage_histogram(spec).counts
+        monkeypatch.setattr(tr, "CHUNK_COLUMNS", columns)
+        chunked = brute_preimages(spec, b)
+        assert whole.preimages and (2, 0, 1, 3, 0) in whole.preimages
+        assert ((chunked.preimages, chunked.guesses, chunked.lookups)
+                == (whole.preimages, whole.guesses, whole.lookups))
+        assert np.array_equal(preimage_histogram(spec).counts, counts)
+
     def test_permutation_member(self, ref_square):
         spec = OwfSpec(ref_square, 2, (Const(3), Const(3), Index(1), Index(0)))
         hist = preimage_histogram(spec)

@@ -28,7 +28,17 @@ from qows import (
     transformation_rows,
     unpack_string,
 )
-from qows.transforms import e_columns, e_inverse_columns, flat_tables, symbol_dtype
+from qows.transforms import (
+    digit_columns,
+    e_columns,
+    e_inverse_columns,
+    family_columns,
+    family_steps,
+    flat_tables,
+    leader_ids,
+    pack_columns,
+    symbol_dtype,
+)
 
 import data
 
@@ -122,6 +132,74 @@ class TestVectorizedPair:
     def test_dtype_by_order(self):
         assert symbol_dtype(256) == np.uint8
         assert symbol_dtype(257) == np.uint16
+
+
+def _columns(arr):
+    return [tuple(col) for col in arr.T.tolist()]
+
+
+class TestFamilyColumns:
+    """The shared family evaluator against r_n and r1, column by column."""
+
+    @given(st.integers(2, 300), st.randoms(use_true_random=False),
+           st.integers(1, 5), st.integers(1, 5), st.integers(0, 3))
+    @example(256, random.Random(0), 4, 3, 3)
+    @example(257, random.Random(1), 4, 3, 3)
+    @example(300, random.Random(2), 3, 5, 2)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference(self, order, rnd, n, count, nlead):
+        # two stacked tables; each column picks one through its offset
+        squares = [Quasigroup(data.shuffled_cyclic(order, rnd)) for _ in range(2)]
+        mul = np.concatenate([flat_tables(q)[0] for q in squares])
+        which = [rnd.randrange(2) for _ in range(count)]
+        offset = np.array(which, dtype=np.intp) * (order * order)
+        strings = [tuple(rnd.randrange(order) for _ in range(n)) for _ in range(count)]
+        inputs = np.array(strings, dtype=symbol_dtype(order)).T.copy()
+
+        # token ids per step, half of them index ids: one for every column,
+        # or one per column
+        def draw():
+            return order + rnd.randrange(n) if rnd.random() < 0.5 else rnd.randrange(order)
+
+        ids = [[draw()] * count if rnd.random() < 0.5
+               else [draw() for _ in range(count)]
+               for _ in range(nlead)]
+        steps = [row[0] if len(set(row)) == 1
+                 else np.array(row, dtype=rnd.choice([np.intp, symbol_dtype(order + n)]))
+                 for row in ids]
+
+        def token(t):
+            return Const(t) if t < order else Index(t - order)
+
+        want = [r_n(OwfSpec(squares[w], n, [token(row[k]) for row in ids]), a)
+                for k, (w, a) in enumerate(zip(which, strings))]
+        got = family_columns(mul, order, family_steps(order, n, steps), inputs, offset)
+        assert _columns(got) == want
+        got = family_columns(mul, order, family_steps(order, n, reverses=1), inputs, offset)
+        assert _columns(got) == [r1(squares[w], a) for w, a in zip(which, strings)]
+        assert _columns(inputs) == strings
+
+    def test_leader_ids_of_a_spec(self, ref_square):
+        spec = OwfSpec(ref_square, 3, (Const(3), Index(2), Const(0), Index(0)))
+        assert leader_ids(spec) == (3, 6, 0, 4)
+        a = (2, 0, 1)
+        mul, _ = flat_tables(ref_square)
+        inputs = np.array([a], dtype=np.uint8).T.copy()
+        got = family_columns(mul, 4, family_steps(4, 3, leader_ids(spec)), inputs)
+        assert _columns(got) == [r_n(spec, a)]
+
+    @given(st.integers(1, 300), st.integers(1, 4), st.integers(0, 2**40),
+           st.integers(1, 300))
+    @example(256, 2, 256**2 - 300, 300)     # the last strings: top symbols 255
+    @settings(max_examples=40, deadline=None)
+    def test_enumeration_and_packing(self, order, n, lo, width):
+        total = order**n
+        lo %= total
+        hi = min(total, lo + width)
+        cols = digit_columns(lo, hi, order, n, symbol_dtype(order))
+        assert cols.dtype == symbol_dtype(order) and cols.shape == (n, hi - lo)
+        assert _columns(cols) == [unpack_string(v, order, n) for v in range(lo, hi)]
+        assert pack_columns(cols, order).tolist() == list(range(lo, hi))
 
 
 class TestLeaderSequences:
