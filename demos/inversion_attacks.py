@@ -40,7 +40,7 @@ def main():
     b2 = r2(q, a)
     print()
     print("double reverse, B =", "".join(map(str, b2)))
-    show("two-sided scan", attack_r2(q, b2))
+    show("column sweep", attack_r2(q, b2))
 
     print()
     print("brute force on the same output for comparison:")

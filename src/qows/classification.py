@@ -24,7 +24,7 @@ from .core import enumerate_order4
 from .errors import BudgetExceeded, EmptyString, FormatError, LengthMismatch
 from .inversion import resolve_budget
 from .transforms import Const, Index, digit_columns, e_row, family_columns, family_steps
-from .transforms import flat_tables, pack_columns, periodic_row, symbol_dtype
+from .transforms import flat_table, pack_columns, periodic_row, symbol_dtype
 # Unused here; perfbench/tracing.py rebinds these names to count calls.
 from .transforms import OwfSpec, e_transform, r_n  # noqa: F401
 
@@ -126,7 +126,7 @@ def _first_witnesses(squares, n, max_len, include_indices):
     s = squares[0].order
     tokens = _tokens(s, n, include_indices)
     ntok = len(tokens)
-    mul = np.concatenate([flat_tables(q)[0] for q in squares])
+    mul = np.concatenate([flat_table(q) for q in squares])
     per_block = max(1, transforms.CHUNK_COLUMNS // s**n)    # (square, string) pairs
     witnesses = [None] * len(squares)
     pending = list(range(len(squares)))

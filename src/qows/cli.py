@@ -8,6 +8,7 @@ value-producing ones print the bare result.
 import argparse
 import functools
 import sys
+import warnings
 
 from . import classification, core, inversion, io_formats, transforms
 from .errors import FormatError, QowsError
@@ -104,11 +105,16 @@ def _cmd_invert(args, parser):
     if args.method == "brute":
         leaders = io_formats.parse_leaders(args.leaders or "")
         spec = transforms.OwfSpec(q, len(b), leaders)
-        trace = inversion.brute_preimages(spec, b, budget=args.budget)
+        trace = inversion.brute_preimages(spec, b, budget=args.budget,
+                                          first_hit=args.first_hit)
         header.insert(2, ("leaders", io_formats.serialize_leaders(leaders)))
     else:
         attack = inversion.attack_r1 if args.method == "attack-r1" else inversion.attack_r2
-        trace = attack(q, b, budget=args.budget, first_hit=args.first_hit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", inversion.AlgebraicStructureWarning)
+            trace = attack(q, b, budget=args.budget, first_hit=args.first_hit)
+    for note in trace.warnings:
+        print(f"warning: {note}", file=sys.stderr)
     text = _config_lines("invert", header)
     text += io_formats.serialize_attack_trace(trace, q.order)
     _emit(args, text)

@@ -15,10 +15,13 @@ guessing, and each guess of a row-0 cell triggers a cascade. The cascades
 from the bottom and the top meet after about N/3 guesses.
 
 The double-reverse function has no such meeting point: no cross-check binds
-until a full input tuple has been guessed, which is what separates the two
-attack costs. Its attack therefore builds no table. For every guess tuple it
-peels the last N steps off the output and compares the middle row with the
-forward r1 pass of the tuple, vectorized over all s^N tuples.
+until a full input tuple has been guessed, which separates the two attack
+costs. So its attack and brute force share one exhaustive scan, the column
+sweep. Column j of every row depends only on columns 0..j of the rows above
+it and on the leaders, so the sweep steps all L rows one column at a time
+and, after column j, keeps only the tuples whose output matches b there.
+About 1/s of them survive each column, so a tuple costs about
+L * s / (s - 1) table reads rather than L * N.
 """
 import os
 import time
@@ -29,9 +32,8 @@ import numpy as np
 
 from . import transforms
 from .errors import BudgetExceeded, FormatError, LengthMismatch
-from .transforms import check_string, digit_columns, e_inverse_columns, family_columns
-from .transforms import family_steps, flat_tables, leader_ids, pack_columns, symbol_dtype
-from .transforms import r1 as _r1_eval, unpack_string
+from .transforms import check_string, digit_columns, family_columns, family_steps
+from .transforms import flat_table, leader_ids, pack_columns, r1 as _r1_eval
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -58,8 +60,9 @@ class AttackTrace:
 
     guesses counts completed branch explorations: full candidate tuples
     submitted to a final check, plus branches killed by a contradiction
-    mid-guess. lookups counts individual table reads (multiplications and
-    divisions), including vectorized ones.
+    mid-guess; for the exhaustive scans, the tuples scanned. lookups counts
+    the table reads (multiplications and divisions) actually made, one per
+    element of a vectorized read.
     """
 
     preimages: list
@@ -108,28 +111,53 @@ def _hypothesis_warnings(q):
     return notes
 
 
-def _domain_images(spec, budget):
-    """Charge s^N against the budget, then return a generator of
-    (inputs, images) blocks over all of Q^N in packed order."""
-    s, n = spec.q.order, spec.n
-    total = s**n
+def _charge(total, budget, what):
     limit = resolve_budget(budget)
     if total > limit:
-        raise BudgetExceeded(f"domain size {total} exceeds budget {limit}")
-    mul, _ = flat_tables(spec.q)
-    steps = tuple(family_steps(s, n, leader_ids(spec)))
+        raise BudgetExceeded(f"{what} {total} exceeds budget {limit}")
+
+
+def _sweep(q, n, steps, b, first_hit=False):
+    """(preimages, tuples scanned, table reads made) of b under the steps
+    with the given token ids, by the column sweep over Q^n in packed order.
+    first_hit stops after the first block holding a preimage, keeping one.
+    """
+    s = q.order
+    mul = flat_table(q)
+    total = s**n
     chunk = transforms.CHUNK_COLUMNS
-    blocks = (digit_columns(lo, min(total, lo + chunk), s, n, mul.dtype)
-              for lo in range(0, total, chunk))
-    return ((inputs, family_columns(mul, s, steps, inputs)) for inputs in blocks)
+    found, scanned, lookups = [], 0, 0
+    for lo in range(0, total, chunk):
+        inputs = digit_columns(lo, min(total, lo + chunk), s, n, mul.dtype)
+        scanned += inputs.shape[1]
+        # row i holds step i's leader, then its output at the last column
+        # stepped; a tuple leaves state and inputs at its first miss
+        state = np.empty((len(steps), inputs.shape[1]), mul.dtype)
+        for row, t in zip(state, steps):
+            row[...] = t if t < s else inputs[t - s]
+        idx = np.empty(inputs.shape[1], dtype=np.intp)
+        for j in range(n):
+            col, x = idx[:state.shape[1]], inputs[j]
+            for row in state:
+                np.multiply(row, s, out=col, dtype=np.intp)
+                col += x
+                np.take(mul, col, out=row)
+                x = row
+            lookups += state.size
+            keep = np.flatnonzero(x == b[j])
+            state, inputs = state.take(keep, axis=1), inputs.take(keep, axis=1)
+        found += map(tuple, inputs[:, :1 if first_hit else None].T.tolist())
+        if first_hit and found:
+            break
+    return found, scanned, lookups
 
 
-def brute_preimages(spec, b, budget=None):
+def brute_preimages(spec, b, budget=None, first_hit=False):
     """Enumerate all of Q^N and return every preimage of b under the family
     member spec.
 
-    The guess counter equals s^N exactly: this is the exhaustive baseline
-    the structured attacks are measured against.
+    The guess counter equals s^N exactly on a full scan: this is the
+    exhaustive baseline the structured attacks are measured against.
     """
     t0 = time.perf_counter()
     b = tuple(b)
@@ -137,22 +165,26 @@ def brute_preimages(spec, b, budget=None):
     if len(b) != n:
         raise LengthMismatch(f"output length {len(b)} != N = {n}")
     check_string(spec.q, b)
-    target = np.array(b, dtype=symbol_dtype(s))[:, None]
-    found = []
-    for inputs, image in _domain_images(spec, budget):
-        found += map(tuple, inputs.T[(image == target).all(axis=0)].tolist())
-    return AttackTrace(preimages=found, guesses=s**n,
-                       lookups=(len(spec.leaders) + 2 * n) * n * s**n,
+    _charge(s**n, budget, "domain size")
+    steps = tuple(family_steps(s, n, leader_ids(spec)))
+    found, scanned, lookups = _sweep(spec.q, n, steps, b, first_hit)
+    return AttackTrace(preimages=found, guesses=scanned, lookups=lookups,
                        elapsed=time.perf_counter() - t0)
 
 
 def preimage_histogram(spec, budget=None):
     """Count preimages of every output value by full forward enumeration."""
     s, n = spec.q.order, spec.n
-    blocks = _domain_images(spec, budget)
-    counts = np.zeros(s**n, dtype=np.int64)
-    for _, image in blocks:
-        counts += np.bincount(pack_columns(image, s), minlength=s**n)
+    total = s**n
+    _charge(total, budget, "domain size")
+    mul = flat_table(spec.q)
+    steps = tuple(family_steps(s, n, leader_ids(spec)))
+    chunk = transforms.CHUNK_COLUMNS
+    counts = np.zeros(total, dtype=np.int64)
+    for lo in range(0, total, chunk):
+        inputs = digit_columns(lo, min(total, lo + chunk), s, n, mul.dtype)
+        image = family_columns(mul, s, steps, inputs)
+        counts += np.bincount(pack_columns(image, s), minlength=total)
     return PreimageHistogram(counts=counts, order=s, n=n)
 
 
@@ -286,52 +318,15 @@ def attack_r1(q, b, budget=None, first_hit=False):
 
 
 def attack_r2(q, b, budget=None, first_hit=False):
-    """Invert the double-reverse function by scanning all s^N guess tuples
-    in packed order (see the module docstring). Per-step bijectivity makes
-    the one comparison of the middle row decide the whole table.
+    """Invert the double-reverse function by the column sweep over all s^N
+    guess tuples in packed order (see the module docstring).
     """
     t0 = time.perf_counter()
     b = tuple(b)
     check_string(q, b)
     n = len(b)
     notes = _hypothesis_warnings(q)
-    s = q.order
-    total = s**n
-    limit = resolve_budget(budget)
-    if total > limit:
-        raise BudgetExceeded(f"branch count {total} exceeds budget {limit}")
-    mul, ldiv = flat_tables(q)
-    lookups = 0
-
-    # prefix chunking keeps peak memory at chunk * n cells
-    prefix_len = 0
-    while s ** (n - prefix_len) > transforms.CHUNK_COLUMNS and prefix_len < n:
-        prefix_len += 1
-    chunk_size = s ** (n - prefix_len)
-    found = []
-    guesses = 0
-    for pstart in range(s**prefix_len):
-        prefix = unpack_string(pstart, s, prefix_len)
-        mid = np.array(b, dtype=mul.dtype)[:, None]
-        for a in prefix:      # leaders a_0, a_1, ... peel the last steps
-            e_inverse_columns(ldiv, s, a, mid)
-            lookups += n
-        for d in range(prefix_len, n):
-            # guess a_d: column i*s + g extends column i, so the final
-            # column index is the packed value of the guess tuple
-            mid = np.repeat(mid, s, axis=1)
-            guess = np.resize(np.arange(s, dtype=mid.dtype), mid.shape[1])
-            e_inverse_columns(ldiv, s, guess, mid)
-            lookups += mid.size
-        block = digit_columns(pstart * chunk_size, (pstart + 1) * chunk_size,
-                              s, n, mul.dtype)
-        image = family_columns(mul, s, family_steps(s, n, reverses=1), block)
-        lookups += n * block.size
-        guesses += chunk_size
-        hits = block.T[(image == mid).all(axis=0)][:1 if first_hit else None]
-        found += map(tuple, hits.tolist())
-        if first_hit and found:
-            break
-    found.sort()
+    _charge(q.order**n, budget, "branch count")
+    found, guesses, lookups = _sweep(q, n, tuple(family_steps(q.order, n)), b, first_hit)
     return AttackTrace(preimages=found, guesses=guesses, lookups=lookups,
                        elapsed=time.perf_counter() - t0, warnings=notes)

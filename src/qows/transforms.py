@@ -90,17 +90,15 @@ def symbol_dtype(order):
     return np.uint8 if order <= 256 else np.uint16
 
 
-def flat_tables(q):
-    """q.table and q._ldiv flattened (entry u * s + v) to symbol_dtype."""
-    dtype = symbol_dtype(q.order)
-    return (np.array(q.table, dtype=dtype).ravel(),
-            np.array(q._ldiv, dtype=dtype).ravel())
+def flat_table(q):
+    """q.table flattened (entry u * s + v) to symbol_dtype."""
+    return np.array(q.table, dtype=symbol_dtype(q.order)).ravel()
 
 
 def e_columns(mul, order, leader, state, offset=None):
     """e_transform of every column of the (n, count) state, in place and
-    unchecked. leader is a symbol or one per column. mul is flat_tables'
-    first table, or several stacked with offset the start of each column's.
+    unchecked. leader is a symbol or one per column. mul is flat_table(q),
+    or several tables stacked with offset the start of each column's.
     """
     idx = np.empty(state.shape[1], dtype=np.intp)
     prev = leader
@@ -112,16 +110,6 @@ def e_columns(mul, order, leader, state, offset=None):
             idx += offset
         np.take(mul, idx, out=row)
         prev = row
-    return state
-
-
-def e_inverse_columns(ldiv, order, leader, state):
-    """e_inverse of every column of state; e_columns with the ldiv table."""
-    idx = np.empty(state.shape[1], dtype=np.intp)
-    for j in range(state.shape[0] - 1, -1, -1):
-        np.multiply(state[j - 1] if j else leader, order, out=idx, dtype=np.intp)
-        idx += state[j]
-        np.take(ldiv, idx, out=state[j])
     return state
 
 

@@ -1,5 +1,4 @@
-"""Pure-Python reference versions of the classification engines and of the
-single-reverse attack.
+"""Reference versions of the classification engines and of the attacks.
 
 The package computes witnesses with a batched, vectorized search and
 periods from the exact repeating unit. These are the direct definitions
@@ -9,11 +8,22 @@ transformations, and the minimal period of a width-symbol window.
 The attack runs on a grid of int cells; reference_attack_r1 is the same
 search on a grid of (row, column) cells in a dict, with the same relation
 order, LIFO queue and early return, so its counters must match exactly.
+
+The double-reverse attack and brute force share a column sweep that drops
+a tuple at the first output column it misses. reference_attack_r2 is the
+scan it replaced, which peels the last N steps off the output for every
+guess tuple and compares the middle row with the tuple's r1 image;
+reference_preimages compares whole images of all of Q^N.
 """
 import itertools
 
+import numpy as np
+
 from qows import OwfSpec, PeriodPoint, leader_strings, minimal_period
-from qows.transforms import e_row, r1, resolve_leaders
+from qows import transforms
+from qows.transforms import (digit_columns, e_row, family_columns, family_steps,
+                             flat_table, leader_ids, r1, resolve_leaders,
+                             symbol_dtype, unpack_string)
 
 
 def reference_witness(q, n, max_len, include_indices=False):
@@ -151,3 +161,63 @@ def reference_attack_r1(q, b, first_hit=False):
 
     dfs()
     return sorted(found), stats["guesses"], grid.lookups
+
+
+def _e_inverse_columns(ldiv, order, leader, state):
+    """e_inverse of every column of state, in place; leader is a symbol or
+    one per column."""
+    idx = np.empty(state.shape[1], dtype=np.intp)
+    for j in range(state.shape[0] - 1, -1, -1):
+        np.multiply(state[j - 1] if j else leader, order, out=idx, dtype=np.intp)
+        idx += state[j]
+        np.take(ldiv, idx, out=state[j])
+    return state
+
+
+def reference_attack_r2(q, b, first_hit=False):
+    """(preimages, guesses) of the peel-and-compare scan over all s^N guess
+    tuples in packed order, chunked by prefix into blocks of a power of s."""
+    b = tuple(b)
+    n = len(b)
+    s = q.order
+    mul = flat_table(q)
+    ldiv = np.array(q._ldiv, dtype=symbol_dtype(s)).ravel()
+
+    # prefix chunking keeps peak memory at chunk * n cells
+    prefix_len = 0
+    while s ** (n - prefix_len) > transforms.CHUNK_COLUMNS and prefix_len < n:
+        prefix_len += 1
+    chunk_size = s ** (n - prefix_len)
+    found = []
+    guesses = 0
+    for pstart in range(s**prefix_len):
+        prefix = unpack_string(pstart, s, prefix_len)
+        mid = np.array(b, dtype=mul.dtype)[:, None]
+        for a in prefix:      # leaders a_0, a_1, ... peel the last steps
+            _e_inverse_columns(ldiv, s, a, mid)
+        for d in range(prefix_len, n):
+            # guess a_d: column i*s + g extends column i, so the final
+            # column index is the packed value of the guess tuple
+            mid = np.repeat(mid, s, axis=1)
+            guess = np.resize(np.arange(s, dtype=mid.dtype), mid.shape[1])
+            _e_inverse_columns(ldiv, s, guess, mid)
+        block = digit_columns(pstart * chunk_size, (pstart + 1) * chunk_size,
+                              s, n, mul.dtype)
+        image = family_columns(mul, s, family_steps(s, n, reverses=1), block)
+        guesses += chunk_size
+        hits = block.T[(image == mid).all(axis=0)][:1 if first_hit else None]
+        found += map(tuple, hits.tolist())
+        if first_hit and found:
+            break
+    return sorted(found), guesses
+
+
+def reference_preimages(spec, b):
+    """Every preimage of b under spec, in packed order, from the images of
+    all of Q^N evaluated in one block."""
+    s, n = spec.q.order, spec.n
+    mul = flat_table(spec.q)
+    inputs = digit_columns(0, s**n, s, n, mul.dtype)
+    image = family_columns(mul, s, family_steps(s, n, leader_ids(spec)), inputs)
+    match = (image == np.array(b, dtype=mul.dtype)[:, None]).all(axis=0)
+    return [tuple(col) for col in inputs[:, match].T.tolist()]

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -130,6 +131,28 @@ class TestInvert:
                                "--first-hit")
         body = [l for l in out.splitlines() if not l.startswith("#")]
         assert code == 0 and body[0] == "preimages 1"
+
+
+    def test_brute_first_hit(self, capsys):
+        # 00000 has two preimages, 03131 and 23101
+        code, out, _ = run_cli(capsys, "invert", "--index", "355", "--method", "brute",
+                               "--output", "00000", "--first-hit")
+        body = [l for l in out.splitlines() if not l.startswith("#")]
+        assert code == 0 and body[0] == "preimages 1"
+        assert body[4:] == ["03131"]
+
+    def test_structure_warnings_one_line_each(self, capsys):
+        # square 5 is commutative and associative; repeated calls warn again
+        argv = ["invert", "--index", "5", "--method", "attack-r2", "--output", "012"]
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run_cli(capsys, *argv)
+            assert caught == []
+            assert code == 0 and out.splitlines()[6:8] == ["preimages 0", "guesses 64"]
+            assert err == (
+                "warning: quasigroup is commutative; attack cost guarantees assume it is not\n"
+                "warning: quasigroup is associative; attack cost guarantees assume it is not\n")
 
 
 class TestReportCommands:

@@ -1,10 +1,11 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qows import (
@@ -31,7 +32,7 @@ from qows import (
 )
 
 import data
-from oracles import reference_attack_r1
+from oracles import reference_attack_r1, reference_attack_r2, reference_preimages
 
 
 def r1_preimages_by_enumeration(q, b):
@@ -108,6 +109,13 @@ class TestBrute:
         for n in (1, 3, 6):
             trace = brute_preimages(OwfSpec(ref_square, n, ()), (0,) * n)
             assert trace.guesses == 4**n
+
+    def test_first_hit(self, ref_square):
+        spec = OwfSpec(ref_square, 5, ())
+        full = brute_preimages(spec, (0,) * 5)
+        first = brute_preimages(spec, (0,) * 5, first_hit=True)
+        assert len(full.preimages) == 2
+        assert first.preimages == full.preimages[:1]
 
     def test_soundness(self, ref_square):
         spec = OwfSpec(ref_square, 3, (Const(1), Index(2)))
@@ -235,6 +243,95 @@ class TestAttackR2:
         whole = attack_r2(ref_square, b).preimages
         monkeypatch.setattr(tr, "CHUNK_COLUMNS", 64)
         assert attack_r2(ref_square, b).preimages == whole
+
+
+def _token(order, t):
+    return Const(t) if t < order else Index(t - order)
+
+
+def _scanned(first_hit, preimages, order, n, chunk):
+    """Tuples a scan reads: all of Q^n, or up to the end of the block
+    holding the first preimage."""
+    total = order**n
+    if not (first_hit and preimages):
+        return total
+    return min(total, (pack_string(preimages[0], order) // chunk + 1) * chunk)
+
+
+@pytest.mark.filterwarnings("ignore::qows.AlgebraicStructureWarning")
+class TestSweep:
+    """attack_r2 and brute_preimages, both the column sweep, against the
+    peel-and-compare scan and whole-image comparison of all of Q^N."""
+
+    # the O(s^3) structure probe would dominate at high orders
+    @mock.patch("qows.inversion._hypothesis_warnings", lambda q: [])
+    @given(st.integers(2, 300), st.randoms(use_true_random=False),
+           st.integers(1, 8), st.integers(0, 3), st.sampled_from([1, 2, 3, 5]),
+           st.booleans(), st.booleans())
+    @example(256, random.Random(0), 2, 2, 1, True, False)
+    @example(257, random.Random(1), 2, 1, 3, True, True)
+    @example(300, random.Random(2), 2, 3, 5, False, False)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_references(self, order, rnd, n, nlead, blocks, planted, first_hit):
+        # at most 300^2 tuples, scanned in `blocks` blocks by patching the
+        # block size; the last block may be short
+        while order ** n > 300**2:
+            n -= 1
+        q = Quasigroup(data.shuffled_cyclic(order, rnd))
+        total = order**n
+        chunk = -(-total // blocks)
+        a = tuple(rnd.randrange(order) for _ in range(n))
+        leaders = tuple(_token(order, rnd.randrange(order + n)) for _ in range(nlead))
+        spec = OwfSpec(q, n, leaders)
+        # an arbitrary target often has no preimage
+        b2 = r2(q, a) if planted else tuple(rnd.randrange(order) for _ in range(n))
+        b = r_n(spec, a) if planted else b2
+        want2, guesses = reference_attack_r2(q, b2)
+        want = reference_preimages(spec, b)
+        assert guesses == total
+        if planted:
+            assert a in want2 and a in want
+        with mock.patch("qows.transforms.CHUNK_COLUMNS", chunk):
+            got2 = attack_r2(q, b2, first_hit=first_hit)
+            brute2 = brute_preimages(OwfSpec(q, n, ()), b2, first_hit=first_hit)
+            got = brute_preimages(spec, b, first_hit=first_hit)
+        assert got2.preimages == (want2[:1] if first_hit else want2)
+        assert got2.guesses == _scanned(first_hit, want2, order, n, chunk)
+        assert ((brute2.preimages, brute2.guesses, brute2.lookups)
+                == (got2.preimages, got2.guesses, got2.lookups))
+        assert got.preimages == (want[:1] if first_hit else want)
+        assert got.guesses == _scanned(first_hit, want, order, n, chunk)
+
+    def test_output_without_preimage(self, ref_square):
+        images = {r2(ref_square, a) for a in itertools.product(range(4), repeat=3)}
+        b = min(set(itertools.product(range(4), repeat=3)) - images)
+        assert reference_attack_r2(ref_square, b) == ([], 64)
+        for first_hit in (False, True):
+            trace = attack_r2(ref_square, b, first_hit=first_hit)
+            assert (trace.preimages, trace.guesses) == ([], 64)
+        spec = OwfSpec(ref_square, 2, (Const(3), Const(3), Index(0), Index(1)))
+        assert brute_preimages(spec, (0, 2), first_hit=True).preimages == []
+
+    @pytest.mark.parametrize("order", [3, 4, 5, 8])
+    def test_lookups_count_reads_made(self, order):
+        # reads for column j: one per step for every tuple whose image
+        # agrees with b on columns 0..j-1
+        rng = random.Random(order)
+        for seed in range(2):
+            q = random_latin(order, seed)
+            for n in range(1, 5 if order < 8 else 4):
+                for leaders in ((), (Const(rng.randrange(order)), Index(n - 1))):
+                    spec = OwfSpec(q, n, leaders)
+                    b = r_n(spec, tuple(rng.randrange(order) for _ in range(n)))
+                    images = [r_n(spec, a)
+                              for a in itertools.product(range(order), repeat=n)]
+                    agree = sum(img[:j] == b[:j] for img in images for j in range(n))
+                    want = (len(leaders) + 2 * n) * agree
+                    assert brute_preimages(spec, b).lookups == want, (order, seed, n)
+                    if not leaders:
+                        assert attack_r2(q, b).lookups == want, (order, seed, n)
+                    with mock.patch("qows.transforms.CHUNK_COLUMNS", 7):
+                        assert brute_preimages(spec, b).lookups == want
 
 
 class TestHypothesisWarnings:

@@ -31,10 +31,9 @@ from qows import (
 from qows.transforms import (
     digit_columns,
     e_columns,
-    e_inverse_columns,
     family_columns,
     family_steps,
-    flat_tables,
+    flat_table,
     leader_ids,
     pack_columns,
     symbol_dtype,
@@ -99,8 +98,8 @@ class TestETransform:
 
 
 class TestVectorizedPair:
-    """e_columns and e_inverse_columns against the pure-Python reference,
-    column by column, across the uint8/uint16 boundary."""
+    """e_columns against the pure-Python reference, column by column,
+    across the uint8/uint16 boundary."""
 
     @given(st.integers(2, 300), st.randoms(use_true_random=False),
            st.integers(1, 6), st.integers(1, 5))
@@ -110,7 +109,7 @@ class TestVectorizedPair:
     @settings(max_examples=40, deadline=None)
     def test_columns_match_reference(self, order, rnd, n, count):
         q = Quasigroup(data.shuffled_cyclic(order, rnd))
-        mul, ldiv = flat_tables(q)
+        mul = flat_table(q)
         strings = [tuple(rnd.randrange(order) for _ in range(n)) for _ in range(count)]
         leaders = [rnd.randrange(order) for _ in range(count)]
         state = np.array(strings, dtype=symbol_dtype(order)).T.copy()
@@ -122,12 +121,8 @@ class TestVectorizedPair:
         l = leaders[0]
         assert columns(e_columns(mul, order, l, state.copy())) == \
             [e_transform(q, l, a) for a in strings]
-        assert columns(e_inverse_columns(ldiv, order, l, state.copy())) == \
-            [e_inverse(q, l, a) for a in strings]
         assert columns(e_columns(mul, order, column_leaders, state.copy())) == \
             [e_transform(q, l, a) for l, a in zip(leaders, strings)]
-        assert columns(e_inverse_columns(ldiv, order, column_leaders, state.copy())) == \
-            [e_inverse(q, l, a) for l, a in zip(leaders, strings)]
 
     def test_dtype_by_order(self):
         assert symbol_dtype(256) == np.uint8
@@ -150,7 +145,7 @@ class TestFamilyColumns:
     def test_matches_reference(self, order, rnd, n, count, nlead):
         # two stacked tables; each column picks one through its offset
         squares = [Quasigroup(data.shuffled_cyclic(order, rnd)) for _ in range(2)]
-        mul = np.concatenate([flat_tables(q)[0] for q in squares])
+        mul = np.concatenate([flat_table(q) for q in squares])
         which = [rnd.randrange(2) for _ in range(count)]
         offset = np.array(which, dtype=np.intp) * (order * order)
         strings = [tuple(rnd.randrange(order) for _ in range(n)) for _ in range(count)]
@@ -183,7 +178,7 @@ class TestFamilyColumns:
         spec = OwfSpec(ref_square, 3, (Const(3), Index(2), Const(0), Index(0)))
         assert leader_ids(spec) == (3, 6, 0, 4)
         a = (2, 0, 1)
-        mul, _ = flat_tables(ref_square)
+        mul = flat_table(ref_square)
         inputs = np.array([a], dtype=np.uint8).T.copy()
         got = family_columns(mul, 4, family_steps(4, 3, leader_ids(spec)), inputs)
         assert _columns(got) == [r_n(spec, a)]
