@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 
+import numpy as np
+
 from .errors import (
     ColNotPermutation,
     EntryOutOfRange,
@@ -120,21 +122,22 @@ def algebraic_probe(q):
 
     Returns an AlgebraicProfile. The attacks assume both properties fail;
     callers use this probe to surface violations of that hypothesis.
+    Associativity is checked one u at a time, comparing (u*v)*w with
+    u*(v*w) over all (v, w) at once, so the first mismatch found is the
+    lexicographically first.
     """
-    s = q.order
-    t = q.table
-    comm_w = None
-    for u in range(s):
-        for v in range(u + 1, s):
-            if t[u][v] != t[v][u]:
-                comm_w = (u, v)
-                break
-        if comm_w:
-            break
+    t = np.array(q.table, dtype=np.intp)
+    # symmetric with a false diagonal, so its first true entry in row-major
+    # order lies above the diagonal
+    comm = (t != t.T).ravel()
+    i = int(comm.argmax())
+    comm_w = divmod(i, q.order) if comm[i] else None
     assoc_w = None
-    for u, v, w in itertools.product(range(s), repeat=3):
-        if t[t[u][v]][w] != t[u][t[v][w]]:
-            assoc_w = (u, v, w)
+    for u, row in enumerate(t):
+        miss = (t[row] != row[t]).ravel()
+        i = int(miss.argmax())
+        if miss[i]:
+            assoc_w = (u, *divmod(i, q.order))
             break
     return AlgebraicProfile(
         commutative=comm_w is None,

@@ -111,7 +111,7 @@ def _hypothesis_warnings(q):
     return notes
 
 
-def _charge(total, budget, what):
+def charge_budget(total, budget, what):
     limit = resolve_budget(budget)
     if total > limit:
         raise BudgetExceeded(f"{what} {total} exceeds budget {limit}")
@@ -165,7 +165,7 @@ def brute_preimages(spec, b, budget=None, first_hit=False):
     if len(b) != n:
         raise LengthMismatch(f"output length {len(b)} != N = {n}")
     check_string(spec.q, b)
-    _charge(s**n, budget, "domain size")
+    charge_budget(s**n, budget, "domain size")
     steps = tuple(family_steps(s, n, leader_ids(spec)))
     found, scanned, lookups = _sweep(spec.q, n, steps, b, first_hit)
     return AttackTrace(preimages=found, guesses=scanned, lookups=lookups,
@@ -176,7 +176,7 @@ def preimage_histogram(spec, budget=None):
     """Count preimages of every output value by full forward enumeration."""
     s, n = spec.q.order, spec.n
     total = s**n
-    _charge(total, budget, "domain size")
+    charge_budget(total, budget, "domain size")
     mul = flat_table(spec.q)
     steps = tuple(family_steps(s, n, leader_ids(spec)))
     chunk = transforms.CHUNK_COLUMNS
@@ -325,8 +325,8 @@ def attack_r2(q, b, budget=None, first_hit=False):
     b = tuple(b)
     check_string(q, b)
     n = len(b)
+    charge_budget(q.order**n, budget, "branch count")
     notes = _hypothesis_warnings(q)
-    _charge(q.order**n, budget, "branch count")
     found, guesses, lookups = _sweep(q, n, tuple(family_steps(q.order, n)), b, first_hit)
     return AttackTrace(preimages=found, guesses=guesses, lookups=lookups,
                        elapsed=time.perf_counter() - t0, warnings=notes)

@@ -8,9 +8,12 @@ idempotent.
 """
 import json
 
+import numpy as np
+
 from .core import Quasigroup
 from .errors import FormatError
-from .transforms import Const, Index, e_row, periodic_row
+from .inversion import charge_budget
+from .transforms import Const, Index, e_iterates, periodic_row
 
 QG_EXT = ".qg"
 STRING_EXT = ".qs"
@@ -131,28 +134,26 @@ def render_iterations(q, leader, motif, width, iterations, text=False):
     """Portable pixmap of iterated transformations, one string per row.
 
     Row 0 is the periodic extension of motif to width; row k+1 is the
-    transformation of row k with the constant leader. Binary P6 by default,
-    text P3 with text=True. Output is byte-identical for identical inputs.
+    transformation of row k with the constant leader. The rows come from
+    transforms.e_iterates, one vectorized step per anti-diagonal, and the
+    width * (iterations + 1) cells are charged against the budget
+    (QOWS_BUDGET or the default) before anything is allocated. Binary P6
+    by default, one palette lookup for the whole body; text P3 with
+    text=True. Output is byte-identical for identical inputs.
     """
-    rows = [periodic_row(q, motif, width)]
     q._check(leader)
     if iterations < 0:
         raise FormatError(f"iterations must be non-negative, got {iterations}")
+    charge_budget(width * (iterations + 1), None, "render cells")
+    grid = e_iterates(q, leader, periodic_row(q, motif, width), iterations)
     pal = palette(q.order)
-    height = iterations + 1
-    for _ in range(iterations):
-        rows.append(e_row(q.table, leader, rows[-1]))
+    header = f"P{3 if text else 6}\n{width} {iterations + 1}\n255\n"
     if text:
-        out = [f"P3\n{width} {height}\n255"]
-        for r in rows:
-            out.append(" ".join(" ".join(map(str, pal[v])) for v in r))
-        return ("\n".join(out) + "\n").encode("ascii")
-    body = bytearray()
-    flat = [bytes(pal[v]) for v in range(q.order)]
-    for r in rows:
-        for v in r:
-            body += flat[v]
-    return f"P6\n{width} {height}\n255\n".encode("ascii") + bytes(body)
+        rgb = [" ".join(map(str, c)) for c in pal]
+        lines = [" ".join(map(rgb.__getitem__, r)) for r in grid.tolist()]
+        return (header + "\n".join(lines) + "\n").encode("ascii")
+    body = np.array(pal, dtype=np.uint8).take(grid, axis=0)
+    return header.encode("ascii") + body.tobytes()
 
 
 def _pixmap_size(fields):

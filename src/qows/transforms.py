@@ -113,6 +113,57 @@ def e_columns(mul, order, leader, state, offset=None):
     return state
 
 
+def e_iterates(q, leader, row, iterations):
+    """row and its first iterations iterates under e_transform with the
+    constant leader, unchecked: a read-only (iterations + 1, len(row))
+    array in symbol_dtype.
+
+    Cell (k, j) is T[cell (k, j-1)][cell (k-1, j)] with the leader left of
+    column 0, so every cell of an anti-diagonal k + j = d follows from
+    diagonal d - 1 in one vectorized step. Column 0 is the orbit of row[0]
+    under x -> leader * x, a cycle of at most s symbols, so both edges are
+    known first. The grid of H = iterations + 1 rows and W = len(row)
+    columns is stored skewed, diagonal d as row d of a buffer of
+    (H + W - 1) * min(H, W) symbols, and read back through a strided view;
+    the sweep takes H + W numpy steps. A grid taller than wide is swept as
+    its transpose: cell (j, k) of the transpose is
+    T'[cell (j, k-1)][cell (j-1, k)] for the transposed table T', with the
+    edges swapped.
+    """
+    s = q.order
+    dtype = symbol_dtype(s)
+    step = q.table[leader]
+    orbit = [row[0]]
+    while step[orbit[-1]] != orbit[0]:
+        orbit.append(step[orbit[-1]])
+    top = np.array(row, dtype)
+    left = np.resize(np.array(orbit, dtype), iterations + 1)
+    mul = flat_table(q)
+    tall = len(left) > len(top)
+    if tall:
+        mul = mul.reshape(s, s).T.ravel()
+        top, left = left, top
+    n, m = len(left), len(top)
+    buf = np.empty((n + m - 1, n), dtype)
+    flat = buf.ravel()
+    flat[:m * n:n] = top          # cell (0, d) is buf[d, 0]
+    flat[:n * (n + 1):n + 1] = left   # cell (d, 0) is buf[d, d]
+    idx = np.empty(n, dtype=np.intp)
+    for d in range(2, n + m - 1):
+        # cells (i, d - i) for lo <= i < hi; left (i, d-1-i) and up
+        # (i-1, d-i) are buf[d-1, i] and buf[d-1, i-1]
+        lo, hi = max(1, d - m + 1), min(n, d)
+        prev, col = buf[d - 1], idx[:hi - lo]
+        # index arithmetic in intp: a uint8 row times order would wrap
+        np.multiply(prev[lo:hi], s, out=col, dtype=np.intp)
+        col += prev[lo - 1:hi - 1]
+        # indices are in range; mode "raise" would buffer out
+        mul.take(col, out=buf[d, lo:hi], mode="clip")
+    grid = np.lib.stride_tricks.as_strided(
+        buf, (n, m), ((n + 1) * buf.itemsize, n * buf.itemsize), writeable=False)
+    return grid.T if tall else grid
+
+
 # Columns per block in every bulk path.
 CHUNK_COLUMNS = 1 << 18
 
@@ -197,7 +248,7 @@ def transformation_rows(q, leaders, a):
     """Return every row of the computation: the input, then one row per leader.
 
     Row k+1 is e_transform with leaders[k] applied to row k. Useful for
-    reproducing worked tables and for rendering.
+    reproducing worked tables.
     """
     a = tuple(a)
     check_string(q, a)

@@ -14,16 +14,21 @@ a tuple at the first output column it misses. reference_attack_r2 is the
 scan it replaced, which peels the last N steps off the output for every
 guess tuple and compares the middle row with the tuple's r1 image;
 reference_preimages compares whole images of all of Q^N.
+
+The renderer sweeps anti-diagonals; reference_render is the row-by-row
+loop it replaced. algebraic_probe compares whole (v, w) slices;
+reference_algebraic_probe is the scalar scan it replaced.
 """
 import itertools
 
 import numpy as np
 
-from qows import OwfSpec, PeriodPoint, leader_strings, minimal_period
+from qows import (AlgebraicProfile, FormatError, OwfSpec, PeriodPoint,
+                  leader_strings, minimal_period, palette)
 from qows import transforms
 from qows.transforms import (digit_columns, e_row, family_columns, family_steps,
-                             flat_table, leader_ids, r1, resolve_leaders,
-                             symbol_dtype, unpack_string)
+                             flat_table, leader_ids, periodic_row, r1,
+                             resolve_leaders, symbol_dtype, unpack_string)
 
 
 def reference_witness(q, n, max_len, include_indices=False):
@@ -221,3 +226,53 @@ def reference_preimages(spec, b):
     image = family_columns(mul, s, family_steps(s, n, leader_ids(spec)), inputs)
     match = (image == np.array(b, dtype=mul.dtype)[:, None]).all(axis=0)
     return [tuple(col) for col in inputs[:, match].T.tolist()]
+
+
+def reference_render(q, leader, motif, width, iterations, text=False):
+    """Portable pixmap of iterated transformations, one e_row per row and
+    one palette entry per pixel."""
+    rows = [periodic_row(q, motif, width)]
+    q._check(leader)
+    if iterations < 0:
+        raise FormatError(f"iterations must be non-negative, got {iterations}")
+    pal = palette(q.order)
+    height = iterations + 1
+    for _ in range(iterations):
+        rows.append(e_row(q.table, leader, rows[-1]))
+    if text:
+        out = [f"P3\n{width} {height}\n255"]
+        for r in rows:
+            out.append(" ".join(" ".join(map(str, pal[v])) for v in r))
+        return ("\n".join(out) + "\n").encode("ascii")
+    body = bytearray()
+    flat = [bytes(pal[v]) for v in range(q.order)]
+    for r in rows:
+        for v in r:
+            body += flat[v]
+    return f"P6\n{width} {height}\n255\n".encode("ascii") + bytes(body)
+
+
+def reference_algebraic_probe(q):
+    """Commutativity and associativity with their lexicographically first
+    counterexamples, by scalar scans."""
+    s = q.order
+    t = q.table
+    comm_w = None
+    for u in range(s):
+        for v in range(u + 1, s):
+            if t[u][v] != t[v][u]:
+                comm_w = (u, v)
+                break
+        if comm_w:
+            break
+    assoc_w = None
+    for u, v, w in itertools.product(range(s), repeat=3):
+        if t[t[u][v]][w] != t[u][t[v][w]]:
+            assoc_w = (u, v, w)
+            break
+    return AlgebraicProfile(
+        commutative=comm_w is None,
+        associative=assoc_w is None,
+        commutativity_witness=comm_w,
+        associativity_witness=assoc_w,
+    )

@@ -5,6 +5,7 @@ Reference values come from tests/data.py (independent derivations and
 transcribed published tables). Heavy shared computations (the census, the
 benchmark square set) live in session fixtures.
 """
+import hashlib
 import itertools
 import random
 import statistics
@@ -283,6 +284,14 @@ def test_criterion_10_round_trip_suite():
                "identities hold on all 576 squares")
 
 
+# SHA-256 of the 600x600 leader-0 renders of squares 46 and 47, as the
+# row-by-row renderer produced them
+RENDER_SHA256 = {
+    46: "daffa76739ed4d72943ad96c88bd7246622e50d0446b2b84e3704ba5b5ffcdf0",
+    47: "68f44fc82d10c9d19a4da84f1011e35d858fd23e7dcb501f07f1fdfffcfe80fa",
+}
+
+
 def test_criterion_11_render_determinism():
     blobs = {}
     for idx in (46, 47):
@@ -291,6 +300,7 @@ def test_criterion_11_render_determinism():
         second = render_iterations(q, 0, (0, 1, 2, 3), 600, 599)
         assert first == second
         assert first.startswith(b"P6\n600 600\n255\n")
+        assert hashlib.sha256(first).hexdigest() == RENDER_SHA256[idx]
         blobs[idx] = first
     assert blobs[46] != blobs[47]
 
@@ -300,5 +310,6 @@ def test_criterion_11_render_determinism():
     for _ in range(20):
         k = rng.randrange(599)
         assert rows[k + 1] == e_transform(q, 0, rows[k])
-    report(11, "two 600x600 renders byte-identical per square; 20 sampled "
+    report(11, "two 600x600 renders byte-identical per square and equal to "
+               "their pinned SHA-256; 20 sampled "
                "rows advance by the transformation under palette decoding")

@@ -196,6 +196,14 @@ class TestRenderAndGen:
         expected = render_iterations(from_index(46), 0, (0, 1, 2, 3), 16, 3)
         assert out_path.read_bytes() == expected
 
+    def test_render_over_budget(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QOWS_BUDGET", "1000")
+        out_path = tmp_path / "img.ppm"
+        code, out, err = run_cli(capsys, "render", "--index", "46", "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == "error: render cells 360000 exceeds budget 1000\n"
+        assert not out_path.exists()
+
     def test_gen_deterministic(self, capsys):
         code, out1, _ = run_cli(capsys, "gen", "--order", "6", "--seed", "11")
         assert code == 0

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,9 @@ from qows import (
     random_latin,
     validate,
 )
+from oracles import reference_algebraic_probe
 
+import data
 from data import REFERENCE_SQUARE, TABLE_AT_1, TABLE_AT_5, TABLE_AT_6, TABLE_AT_46, TABLE_AT_47
 
 
@@ -154,6 +157,32 @@ class TestAlgebraicProbe:
         assert p.commutative and p.associative
         assert p.commutativity_witness is None
         assert p.associativity_witness is None
+
+    @given(st.integers(2, 40), st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, order, rnd, cyclic):
+        # shuffled cyclic squares are isotopes of Z_s; random_latin is
+        # slow above order ~28
+        if cyclic or order > 12:
+            q = Quasigroup(data.shuffled_cyclic(order, rnd))
+        else:
+            q = random_latin(order, rnd.randrange(10_000))
+        assert algebraic_probe(q) == reference_algebraic_probe(q)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 7, 64])
+    def test_cyclic_group_is_commutative_and_associative(self, order):
+        q = Quasigroup([[(u + v) % order for v in range(order)] for u in range(order)])
+        assert algebraic_probe(q) == reference_algebraic_probe(q)
+        assert algebraic_probe(q).associative and algebraic_probe(q).commutative
+
+    @pytest.mark.parametrize("order", [3, 5, 16])
+    def test_commutative_not_associative(self, order):
+        # u * v = -u - v: (u*v)*w = u + v - w, u*(v*w) = -u + v + w
+        q = Quasigroup([[(-u - v) % order for v in range(order)] for u in range(order)])
+        p = algebraic_probe(q)
+        assert p == reference_algebraic_probe(q)
+        assert p.commutative and not p.associative
+        assert p.associativity_witness == (0, 0, 1)
 
 
 class TestRandomLatin:

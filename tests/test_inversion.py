@@ -71,6 +71,15 @@ class TestBudget:
         with pytest.raises(BudgetExceeded):
             attack_r2(ref_square, data.R2_OUTPUT, budget=100)
 
+    def test_attack_r2_charges_before_the_probe(self, monkeypatch):
+        def unreachable(q):
+            raise AssertionError("structure probe ran before the budget check")
+
+        monkeypatch.setattr("qows.core.algebraic_probe", unreachable)
+        z300 = Quasigroup([[(u + v) % 300 for v in range(300)] for u in range(300)])
+        with pytest.raises(BudgetExceeded, match="branch count"):
+            attack_r2(z300, (0,) * 9, budget=10)
+
     def test_histogram_budget_exceeded(self, ref_square):
         with pytest.raises(BudgetExceeded):
             preimage_histogram(OwfSpec(ref_square, 5, ()), budget=100)

@@ -1,10 +1,14 @@
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qows import (
     AttackTrace,
+    BudgetExceeded,
     Const,
+    Quasigroup,
     EntryOutOfRange,
     FormatError,
     Index,
@@ -27,7 +31,11 @@ from qows import (
     serialize_quasigroup,
     serialize_string,
 )
+from qows import io_formats
 from qows.classification import CensusReport, ClassifySettings, PeriodPoint
+
+import data
+from oracles import reference_render
 
 T1_TEXT = "4\n2 1 0 3\n3 0 1 2\n1 2 3 0\n0 3 2 1\n"
 
@@ -182,6 +190,37 @@ class TestRender:
     def test_width_must_fit_motif(self, ref_square):
         with pytest.raises(FormatError):
             render_iterations(ref_square, 0, (0, 1, 2), 16, 3)
+
+    @given(st.integers(2, 300), st.randoms(use_true_random=False),
+           st.integers(1, 4), st.integers(1, 50), st.integers(0, 60), st.booleans())
+    @example(256, random.Random(0), 4, 50, 60, False)
+    @example(257, random.Random(1), 1, 3, 60, True)
+    @example(300, random.Random(2), 3, 20, 59, False)
+    @example(4, random.Random(3), 2, 1, 0, True)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, order, rnd, motif_len, repeats, iterations, text):
+        # wide and tall grids alike: width runs from one motif to 50 motifs
+        q = Quasigroup(data.shuffled_cyclic(order, rnd))
+        motif = tuple(rnd.randrange(order) for _ in range(motif_len))
+        width = motif_len * repeats
+        leaders = range(order) if order <= 8 else [rnd.randrange(order)]
+        for leader in leaders:
+            got = render_iterations(q, leader, motif, width, iterations, text=text)
+            assert got == reference_render(q, leader, motif, width, iterations, text=text)
+
+    def test_budget_bounds_the_cells(self, ref_square, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("allocated before the budget check")
+
+        monkeypatch.setenv("QOWS_BUDGET", "1000")
+        monkeypatch.setattr(io_formats, "periodic_row", unreachable)
+        monkeypatch.setattr(io_formats, "e_iterates", unreachable)
+        with pytest.raises(BudgetExceeded, match="render cells 360000 exceeds budget 1000"):
+            render_iterations(ref_square, 0, (0, 1, 2, 3), 600, 599)
+        monkeypatch.undo()
+        monkeypatch.setenv("QOWS_BUDGET", "64")
+        assert render_iterations(ref_square, 0, (0, 1, 2, 3), 16, 3) == \
+            reference_render(ref_square, 0, (0, 1, 2, 3), 16, 3)
 
     def test_decode_rejects_foreign_pixels(self):
         with pytest.raises(FormatError):

@@ -31,6 +31,7 @@ from qows import (
 from qows.transforms import (
     digit_columns,
     e_columns,
+    e_iterates,
     family_columns,
     family_steps,
     flat_table,
@@ -127,6 +128,37 @@ class TestVectorizedPair:
     def test_dtype_by_order(self):
         assert symbol_dtype(256) == np.uint8
         assert symbol_dtype(257) == np.uint16
+
+
+def _owning_buffer(arr):
+    while arr.base is not None:
+        arr = arr.base
+    return arr
+
+
+class TestIterates:
+    """e_iterates, the anti-diagonal sweep, against e_transform row by row."""
+
+    @pytest.mark.parametrize("order, width, iterations", [
+        (4, 8, 299), (4, 300, 7), (257, 8, 299), (5, 1, 40), (3, 12, 0)])
+    def test_rows_follow_the_transformation(self, order, width, iterations):
+        # 8 wide and 300 tall is swept as its transpose
+        rnd = random.Random(order * width)
+        q = Quasigroup(data.shuffled_cyclic(order, rnd))
+        row = tuple(rnd.randrange(order) for _ in range(width))
+        for leader in {0, order - 1, rnd.randrange(order)}:
+            grid = e_iterates(q, leader, row, iterations)
+            assert grid.shape == (iterations + 1, width)
+            assert grid.dtype == symbol_dtype(order)
+            assert tuple(grid[0]) == row
+            for k in range(iterations):
+                assert tuple(grid[k + 1]) == e_transform(q, leader, grid[k].tolist())
+
+    @pytest.mark.parametrize("width, height", [(600, 600), (8, 300), (300, 8), (4, 5001)])
+    def test_buffer_is_bounded_by_the_shorter_side(self, ref_square, width, height):
+        grid = e_iterates(ref_square, 1, (0, 1, 2, 3) * (width // 4), height - 1)
+        assert _owning_buffer(grid).size <= (height + width) * min(height, width)
+        assert not grid.flags.writeable
 
 
 def _columns(arr):
