@@ -13,8 +13,6 @@ and the census report surfaces any disagreement between them instead of
 reconciling it silently.
 """
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +22,7 @@ from .core import enumerate_order4
 from .errors import BudgetExceeded, EmptyString, FormatError, LengthMismatch
 from .inversion import resolve_budget
 from .transforms import Const, Index, digit_columns, e_row, family_columns, family_steps
-from .transforms import flat_table, pack_columns, periodic_row, symbol_dtype
+from .transforms import check_periodic, flat_table, pack_columns, symbol_dtype
 # Unused here; perfbench/tracing.py rebinds these names to count calls.
 from .transforms import OwfSpec, e_transform, r_n  # noqa: F401
 
@@ -242,11 +240,16 @@ class ClassLabel:
         return self.label == FRACTAL
 
 
-def _start_unit(q, motif, width):
+def _start_unit(q, motif, width, iterations):
     """The shortest unit whose repetition is the periodic extension of motif,
-    after periodic_row's checks of motif and width."""
-    periodic_row(q, motif, width)
+    after checking motif and width and charging width * iterations, the
+    most symbols one profile steps, against the budget."""
     motif = list(motif)
+    check_periodic(q, motif, width)
+    limit = resolve_budget()
+    if width * iterations > limit:
+        raise BudgetExceeded(f"width {width} times {iterations} iterations "
+                             f"exceeds budget {limit}")
     return motif[:minimal_period(motif * 2)]
 
 
@@ -286,7 +289,7 @@ def period_profile(q, leader, motif=(0, 1, 2, 3), width=4096, iterations=32):
     """Minimal period of each iterate of the leader-l elementary
     transformation, starting from the periodic extension of motif to width
     (see PeriodPoint for what is reported)."""
-    unit = _start_unit(q, motif, width)
+    unit = _start_unit(q, motif, width, iterations)
     q._check(leader)
     return _unit_profile(q.table, leader, unit, width, iterations)
 
@@ -339,51 +342,23 @@ class CensusReport:
         return not self.published_missing and not self.published_extra
 
 
-def _census_range(lo, hi, st, leaders, unit):
-    """Census rows for 1-based indices lo..hi-1, from checked settings.
-    Pure; safe to run in a worker process."""
-    squares = enumerate_order4()[lo - 1:hi - 1]
-    witnesses = _first_witnesses(squares, st.n, st.max_len, st.include_indices)
-    out = []
-    for i, q in enumerate(squares):
-        finals = [_unit_profile(q.table, l, unit, st.width, st.iterations)[-1]
-                  for l in leaders]
-        out.append((lo + i, witnesses[i], max(finals, key=lambda p: p.period)))
-    return out
-
-
-def census_order4(settings=None, workers=None):
+def census_order4(settings=None):
     """Classify all 576 order-4 quasigroups by witness search, with the
     period criterion computed alongside for the coincidence check."""
     st = settings or ClassifySettings()
     squares = enumerate_order4()
     leaders = st.leaders_for(squares[0])
-    unit = _start_unit(squares[0], st.motif, st.width)
+    unit = _start_unit(squares[0], st.motif, st.width, st.iterations)
     _check_search(squares[0].order, st.n, st.max_len, st.include_indices, None)
-    total = len(squares)
-    workers = min(workers or 1, os.cpu_count() or 1)
-    if workers > 1:
-        bounds = np.linspace(1, total + 1, workers + 1).astype(int)
-        jobs = [(int(a), int(b), st, leaders, unit)
-                for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        with ProcessPoolExecutor(max_workers=len(jobs)) as ex:
-            parts = list(ex.map(_census_range_star, jobs))
-        entries = [e for part in parts for e in part]
-    else:
-        entries = _census_range(1, total + 1, st, leaders, unit)
-    entries.sort(key=lambda e: e[0])
-    fractal, non_fractal, witnesses, periods, disagree = [], [], {}, {}, []
-    for idx, witness, point in entries:
-        witnesses[idx] = witness
+    witnesses = _first_witnesses(squares, st.n, st.max_len, st.include_indices)
+    fractal, non_fractal, periods, disagree = [], [], {}, []
+    for idx, (q, witness) in enumerate(zip(squares, witnesses), 1):
+        point = max((_unit_profile(q.table, l, unit, st.width, st.iterations)[-1]
+                     for l in leaders), key=lambda p: p.period)
         periods[idx] = point
         (fractal if witness is not None else non_fractal).append(idx)
-        period_label = point.period <= st.threshold
-        if period_label != (witness is not None):
+        if (point.period <= st.threshold) != (witness is not None):
             disagree.append(idx)
     return CensusReport(fractal=tuple(fractal), non_fractal=tuple(non_fractal),
-                        witnesses=witnesses, periods=periods, parameters=st,
-                        disagreements=tuple(disagree))
-
-
-def _census_range_star(args):
-    return _census_range(*args)
+                        witnesses=dict(enumerate(witnesses, 1)), periods=periods,
+                        parameters=st, disagreements=tuple(disagree))

@@ -153,14 +153,11 @@ def _census_settings(args):
 
 
 def _cmd_census(args, parser):
-    if args.workers is not None and args.workers < 1:
-        parser.error(f"--workers must be at least 1, got {args.workers}")
-    report = classification.census_order4(settings=_census_settings(args),
-                                          workers=args.workers)
+    report = classification.census_order4(settings=_census_settings(args))
     if args.json:
         _emit(args, io_formats.serialize_census_json(report))
         return 0
-    text = _config_lines("census", [("workers", args.workers or 1)])
+    text = _config_lines("census", [])
     text += io_formats.serialize_census_report(report)
     _emit(args, text)
     return 0
@@ -273,7 +270,6 @@ def build_parser():
     sp.add_argument("--N", dest="n", type=int, default=2)
     sp.add_argument("--max-leader-len", type=int, default=4)
     sp.add_argument("--include-indices", action="store_true")
-    sp.add_argument("--workers", type=int, help="parallel worker processes")
     sp.add_argument("--json", action="store_true",
                     help="machine-readable export")
     sp.set_defaults(run=_cmd_census)

@@ -33,7 +33,7 @@ import numpy as np
 from . import transforms
 from .errors import BudgetExceeded, FormatError, LengthMismatch
 from .transforms import check_string, digit_columns, family_columns, family_steps
-from .transforms import flat_table, leader_ids, pack_columns, r1 as _r1_eval
+from .transforms import e_columns, flat_table, leader_ids, pack_columns, r1 as _r1_eval
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -117,34 +117,39 @@ def charge_budget(total, budget, what):
         raise BudgetExceeded(f"{what} {total} exceeds budget {limit}")
 
 
+def charge_power(base, exp, budget, what):
+    """charge_budget for base**exp. base^exp >= 2^exp for base > 1, so an
+    exponent of the limit's bit length or more is refused without
+    computing or printing the power."""
+    limit = resolve_budget(budget)
+    if base > 1 and exp >= limit.bit_length():
+        raise BudgetExceeded(f"{what} {base}^{exp} exceeds budget {limit}")
+    charge_budget(base**exp, limit, what)
+
+
 def _sweep(q, n, steps, b, first_hit=False):
     """(preimages, tuples scanned, table reads made) of b under the steps
     with the given token ids, by the column sweep over Q^n in packed order.
     first_hit stops after the first block holding a preimage, keeping one.
     """
     s = q.order
-    mul = flat_table(q)
+    # down a column the step is x <- left * x, x the row above's new symbol
+    mul_t = flat_table(q).reshape(s, s).T.ravel()
     total = s**n
     chunk = transforms.CHUNK_COLUMNS
     found, scanned, lookups = [], 0, 0
     for lo in range(0, total, chunk):
-        inputs = digit_columns(lo, min(total, lo + chunk), s, n, mul.dtype)
+        inputs = digit_columns(lo, min(total, lo + chunk), s, n, mul_t.dtype)
         scanned += inputs.shape[1]
         # row i holds step i's leader, then its output at the last column
         # stepped; a tuple leaves state and inputs at its first miss
-        state = np.empty((len(steps), inputs.shape[1]), mul.dtype)
+        state = np.empty((len(steps), inputs.shape[1]), mul_t.dtype)
         for row, t in zip(state, steps):
             row[...] = t if t < s else inputs[t - s]
-        idx = np.empty(inputs.shape[1], dtype=np.intp)
         for j in range(n):
-            col, x = idx[:state.shape[1]], inputs[j]
-            for row in state:
-                np.multiply(row, s, out=col, dtype=np.intp)
-                col += x
-                np.take(mul, col, out=row)
-                x = row
+            e_columns(mul_t, s, inputs[j], state)
             lookups += state.size
-            keep = np.flatnonzero(x == b[j])
+            keep = np.flatnonzero(state[-1] == b[j])
             state, inputs = state.take(keep, axis=1), inputs.take(keep, axis=1)
         found += map(tuple, inputs[:, :1 if first_hit else None].T.tolist())
         if first_hit and found:
@@ -165,7 +170,7 @@ def brute_preimages(spec, b, budget=None, first_hit=False):
     if len(b) != n:
         raise LengthMismatch(f"output length {len(b)} != N = {n}")
     check_string(spec.q, b)
-    charge_budget(s**n, budget, "domain size")
+    charge_power(s, n, budget, "domain size")
     steps = tuple(family_steps(s, n, leader_ids(spec)))
     found, scanned, lookups = _sweep(spec.q, n, steps, b, first_hit)
     return AttackTrace(preimages=found, guesses=scanned, lookups=lookups,
@@ -175,8 +180,8 @@ def brute_preimages(spec, b, budget=None, first_hit=False):
 def preimage_histogram(spec, budget=None):
     """Count preimages of every output value by full forward enumeration."""
     s, n = spec.q.order, spec.n
+    charge_power(s, n, budget, "domain size")
     total = s**n
-    charge_budget(total, budget, "domain size")
     mul = flat_table(spec.q)
     steps = tuple(family_steps(s, n, leader_ids(spec)))
     chunk = transforms.CHUNK_COLUMNS
@@ -325,7 +330,7 @@ def attack_r2(q, b, budget=None, first_hit=False):
     b = tuple(b)
     check_string(q, b)
     n = len(b)
-    charge_budget(q.order**n, budget, "branch count")
+    charge_power(q.order, n, budget, "branch count")
     notes = _hypothesis_warnings(q)
     found, guesses, lookups = _sweep(q, n, tuple(family_steps(q.order, n)), b, first_hit)
     return AttackTrace(preimages=found, guesses=guesses, lookups=lookups,

@@ -97,8 +97,9 @@ def flat_table(q):
 
 def e_columns(mul, order, leader, state, offset=None):
     """e_transform of every column of the (n, count) state, in place and
-    unchecked. leader is a symbol or one per column. mul is flat_table(q),
-    or several tables stacked with offset the start of each column's.
+    unchecked. leader is a symbol or one per column. mul is flat_table(q)
+    (or its transpose, for the step x <- left * x down a column), or
+    several tables stacked with offset the start of each column's.
     """
     idx = np.empty(state.shape[1], dtype=np.intp)
     prev = leader
@@ -220,15 +221,21 @@ def family_columns(mul, order, steps, inputs, offset=None):
     return state
 
 
-def periodic_row(q, motif, width):
-    """The periodic extension of a motif over q's symbols to width symbols."""
-    motif = tuple(motif)
+def check_periodic(q, motif, width):
+    """Raise unless motif is a nonempty string over q's symbols whose
+    periodic extension to width symbols is whole."""
     if not motif:
         raise FormatError("motif must be non-empty")
     if width < 1 or width % len(motif):
         raise FormatError(
             f"width {width} is not a positive multiple of motif length {len(motif)}")
     check_string(q, motif)
+
+
+def periodic_row(q, motif, width):
+    """The periodic extension of a motif over q's symbols to width symbols."""
+    motif = tuple(motif)
+    check_periodic(q, motif, width)
     return list(motif) * (width // len(motif))
 
 

@@ -290,47 +290,10 @@ class TestCensus:
         for k, q in enumerate(enumerate_order4(), 1):
             assert report.witnesses[k] == reference_witness(q, 2, 4)
 
-    def test_worker_pool_is_deterministic(self, census_default):
-        report, _ = census_default
-        parallel = census_order4(workers=2)
-        assert parallel.fractal == report.fractal
-        assert parallel.witnesses == report.witnesses
-        assert parallel.periods == report.periods
-        assert parallel.disagreements == report.disagreements
-
     @pytest.mark.parametrize("leader", [-1, 5])
     def test_out_of_range_leader_rejected(self, leader):
         with pytest.raises(SymbolOutOfRange):
             census_order4(ClassifySettings(leaders=(leader,)))
-
-    def test_worker_fan_out_is_bounded(self, monkeypatch):
-        import qows.classification as cls
-
-        requested = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cls, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(cls.os, "cpu_count", lambda: 3)
-        small = ClassifySettings(iterations=1, width=4, max_len=0)
-        serial = census_order4(small)
-        for workers, pool in ((100000, 3), (2, 2)):
-            report = census_order4(small, workers=workers)
-            assert requested[-1] == pool
-            assert report.witnesses == serial.witnesses
-            assert report.periods == serial.periods
-        assert len(requested) == 2
 
 
 def test_published_list_integrity():

@@ -1,4 +1,6 @@
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
 import warnings
@@ -236,6 +238,7 @@ class TestCensusCommand:
         code, out, _ = run_cli(capsys, "census")
         assert code == 0
         lines = out.splitlines()
+        assert lines[:2] == ["# qows census", "# census order 4"]
         assert "# fractal 192" in lines
         assert "# non-fractal 384" in lines
         assert "# published-diff missing 0 extra 0" in lines
@@ -273,11 +276,16 @@ class TestCensusCommand:
     ["classify", "--index", "5", "--alpha", "-1"],
     ["classify", "--index", "5", "--N", "0"],
     ["QOWS_BUDGET=abc", "invert", "--index", "5", "--method", "brute", "--output", "01"],
+    ["census", "--workers", "2"],
+    ["histogram", "--index", "5", "--N", "8000"],
+    ["invert", "--index", "5", "--method", "attack-r2", "--output", "{long}"],
+    ["invert", "--index", "5", "--method", "brute", "--output", "{long}"],
+    ["classify", "--index", "47", "--width", "400000000000"],
 ])
 def test_bad_input_exits_without_traceback(argv, tmp_path, capsys, monkeypatch):
     non_ascii = tmp_path / "table.qg"
     non_ascii.write_bytes("4\n0 1 2 3\n1 2 3 \u00e9\n".encode("utf-8"))
-    argv = [a.format(dir=tmp_path, non_ascii=non_ascii) for a in argv]
+    argv = [a.format(dir=tmp_path, non_ascii=non_ascii, long="0" * 8000) for a in argv]
     while "=" in argv[0]:       # leading NAME=value items set the environment
         monkeypatch.setenv(*argv.pop(0).split("=", 1))
     try:
@@ -287,6 +295,8 @@ def test_bad_input_exits_without_traceback(argv, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code in (1, 2)
     assert err and "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_successive_calls_do_not_share_options(capsys, ref_square_file):
@@ -317,3 +327,23 @@ def test_usage_error_exit_code():
     proc = subprocess.run([sys.executable, "-m", "qows.cli", "badcmd"],
                           capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+def _readme_commands():
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("qows ")]
+    assert commands, "README's command-line block lists no qows commands"
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_commands_run(argv, tmp_path, capsys):
+    # every documented command line works; --out lands in tmp_path
+    argv = list(argv)
+    if "--out" in argv:
+        i = argv.index("--out") + 1
+        argv[i] = str(tmp_path / argv[i])
+    else:
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 0, capsys.readouterr().err
