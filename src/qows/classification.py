@@ -20,7 +20,7 @@ import numpy as np
 from . import transforms
 from .core import enumerate_order4
 from .errors import BudgetExceeded, EmptyString, FormatError, LengthMismatch
-from .inversion import resolve_budget
+from .inversion import charge_budget, resolve_budget
 from .transforms import Const, Index, digit_columns, e_row, family_columns, family_steps
 from .transforms import check_periodic, flat_table, pack_columns, symbol_dtype
 # Unused here; perfbench/tracing.py rebinds these names to count calls.
@@ -246,10 +246,7 @@ def _start_unit(q, motif, width, iterations):
     most symbols one profile steps, against the budget."""
     motif = list(motif)
     check_periodic(q, motif, width)
-    limit = resolve_budget()
-    if width * iterations > limit:
-        raise BudgetExceeded(f"width {width} times {iterations} iterations "
-                             f"exceeds budget {limit}")
+    charge_budget(width * iterations, None, f"width {width} times {iterations} iterations")
     return motif[:minimal_period(motif * 2)]
 
 

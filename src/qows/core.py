@@ -13,6 +13,7 @@ from random import Random
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     ColNotPermutation,
     EntryOutOfRange,
     NotSquare,
@@ -20,6 +21,7 @@ from .errors import (
     RowNotPermutation,
     SymbolOutOfRange,
 )
+from .inversion import resolve_budget
 
 
 class Quasigroup:
@@ -147,23 +149,36 @@ def algebraic_probe(q):
     )
 
 
+def _rows_extending(rect, order, charge=lambda: None):
+    """Yield each row that extends the Latin rectangle rect by one row, in
+    lexicographic order of the symbol sequence order: a depth-first search
+    over the columns, without recursion, that calls charge per symbol placed."""
+    used = [{r[j] for r in rect} for j in range(len(order))]
+    row, taken, options = [], set(), [iter(order)]     # a candidate iterator per open column
+    while options:
+        for v in options[-1]:
+            if v not in taken and v not in used[len(row)]:
+                break
+        else:
+            options.pop()
+            if row:
+                taken.remove(row.pop())
+            continue
+        charge()
+        if len(row) + 1 == len(order):
+            yield (*row, v)
+        else:
+            row.append(v)
+            taken.add(v)
+            options.append(iter(order))
+
+
 @lru_cache(maxsize=1)
 def _order4_tables():
-    perms = list(itertools.permutations(range(4)))
-    found = []
-    for r0 in perms:
-        for r1 in perms:
-            if any(r1[c] == r0[c] for c in range(4)):
-                continue
-            for r2 in perms:
-                if any(r2[c] in (r0[c], r1[c]) for c in range(4)):
-                    continue
-                for r3 in perms:
-                    if any(r3[c] in (r0[c], r1[c], r2[c]) for c in range(4)):
-                        continue
-                    found.append((r0, r1, r2, r3))
-    found.sort(key=lambda rows: rows[0] + rows[1] + rows[2] + rows[3])
-    return tuple(found)
+    tables = [()]       # extended level by level, so in ascending row-major order
+    for _ in range(4):
+        tables = [t + (row,) for t in tables for row in _rows_extending(t, range(4))]
+    return tuple(tables)
 
 
 @lru_cache(maxsize=1)
@@ -200,41 +215,25 @@ def from_index(k):
 def random_latin(s, seed):
     """Generate a pseudorandom order-s Latin square, deterministically.
 
-    Rows are placed one at a time; each row tries symbols in a freshly
-    shuffled candidate order and backtracks on dead ends. The same (s, seed)
+    Rows are placed one at a time, each the lexicographically first
+    extension of the rows above in a freshly shuffled symbol order; by
+    M. Hall's theorem one always exists. Each placed symbol is charged
+    against the budget (QOWS_BUDGET or the default). The same (s, seed)
     pair always produces the identical square. The sampler is not uniform
     over all Latin squares, which is acceptable for attack benchmarking.
     """
     if s < 1:
         raise OrderNotSupported("order must be at least 1")
     rng = Random(seed)
-    rows = []
+    limit, placed = resolve_budget(), itertools.count(1)
 
-    def place_row():
-        if len(rows) == s:
-            return True
-        used = [set() for _ in range(s)]
-        for row in rows:
-            for j, v in enumerate(row):
-                used[j].add(v)
+    def charge():
+        if next(placed) > limit:
+            raise BudgetExceeded(f"order-{s} square: placed symbols exceed budget {limit}")
+
+    rows = []
+    for _ in range(s):
         order = list(range(s))
         rng.shuffle(order)
-
-        def fill(row):
-            j = len(row)
-            if j == s:
-                rows.append(row)
-                if place_row():
-                    return True
-                rows.pop()
-                return False
-            for v in order:
-                if v not in row and v not in used[j]:
-                    if fill(row + [v]):
-                        return True
-            return False
-
-        return fill([])
-
-    place_row()
+        rows.append(next(_rows_extending(rows, order, charge)))
     return Quasigroup(rows)

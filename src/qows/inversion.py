@@ -112,19 +112,23 @@ def _hypothesis_warnings(q):
 
 
 def charge_budget(total, budget, what):
+    """Raise BudgetExceeded, with what naming the total, if total is over
+    the budget."""
     limit = resolve_budget(budget)
     if total > limit:
-        raise BudgetExceeded(f"{what} {total} exceeds budget {limit}")
+        raise BudgetExceeded(f"{what} exceeds budget {limit}")
 
 
 def charge_power(base, exp, budget, what):
-    """charge_budget for base**exp. base^exp >= 2^exp for base > 1, so an
-    exponent of the limit's bit length or more is refused without
-    computing or printing the power."""
+    """Raise BudgetExceeded if base**exp is over the budget. base^exp >= 2^exp
+    for base > 1, so an exponent of the limit's bit length or more is
+    refused without computing or printing the power."""
     limit = resolve_budget(budget)
     if base > 1 and exp >= limit.bit_length():
         raise BudgetExceeded(f"{what} {base}^{exp} exceeds budget {limit}")
-    charge_budget(base**exp, limit, what)
+    total = base**exp
+    if total > limit:
+        raise BudgetExceeded(f"{what} {total} exceeds budget {limit}")
 
 
 def _sweep(q, n, steps, b, first_hit=False):

@@ -144,7 +144,8 @@ def render_iterations(q, leader, motif, width, iterations, text=False):
     q._check(leader)
     if iterations < 0:
         raise FormatError(f"iterations must be non-negative, got {iterations}")
-    charge_budget(width * (iterations + 1), None, "render cells")
+    charge_budget(width * (iterations + 1), None,
+                  f"render width {width} times {iterations + 1} rows")
     grid = e_iterates(q, leader, periodic_row(q, motif, width), iterations)
     pal = palette(q.order)
     header = f"P{3 if text else 6}\n{width} {iterations + 1}\n255\n"

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import pathlib
 import shlex
@@ -7,6 +8,7 @@ import warnings
 
 import pytest
 
+import qows
 from qows import parse_quasigroup, render_iterations, from_index
 from qows.cli import main
 
@@ -203,7 +205,7 @@ class TestRenderAndGen:
         out_path = tmp_path / "img.ppm"
         code, out, err = run_cli(capsys, "render", "--index", "46", "--out", str(out_path))
         assert (code, out) == (1, "")
-        assert err == "error: render cells 360000 exceeds budget 1000\n"
+        assert err == "error: render width 600 times 600 rows exceeds budget 1000\n"
         assert not out_path.exists()
 
     def test_gen_deterministic(self, capsys):
@@ -281,6 +283,8 @@ class TestCensusCommand:
     ["invert", "--index", "5", "--method", "attack-r2", "--output", "{long}"],
     ["invert", "--index", "5", "--method", "brute", "--output", "{long}"],
     ["classify", "--index", "47", "--width", "400000000000"],
+    ["render", "--index", "5", "--width", "4" * 3000, "--iterations", "4" * 3000],
+    ["QOWS_BUDGET=100000", "gen", "--order", "40"],
 ])
 def test_bad_input_exits_without_traceback(argv, tmp_path, capsys, monkeypatch):
     non_ascii = tmp_path / "table.qg"
@@ -297,6 +301,25 @@ def test_bad_input_exits_without_traceback(argv, tmp_path, capsys, monkeypatch):
     assert err and "Traceback" not in err
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_benchmark_tracer_finds_the_names_it_rebinds(capsys):
+    # perfbench/tracing.py wraps program attributes by name (including some
+    # the program itself no longer calls); deleting one must fail here
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(qows)
+        code = qows.cli.main(["classify", "--index", "46"])
+    finally:
+        tracer.uninstall()
+    assert code == 0 and "label Fractal" in capsys.readouterr().out
+    assert qows.cli.main is main
+    names = [span[0] for span in tracer.spans]
+    assert names[0] == "cli.main" and "classification.classify" in names
 
 
 def test_successive_calls_do_not_share_options(capsys, ref_square_file):

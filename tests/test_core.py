@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qows import (
+    BudgetExceeded,
     ColNotPermutation,
     EntryOutOfRange,
     NotSquare,
@@ -18,8 +20,10 @@ from qows import (
     from_index,
     lex_index,
     random_latin,
+    serialize_quasigroup,
     validate,
 )
+from qows import core
 from oracles import reference_algebraic_probe
 
 import data
@@ -198,6 +202,44 @@ class TestRandomLatin:
     def test_seeds_vary(self):
         tables = {random_latin(4, s).table for s in range(10)}
         assert len(tables) > 1
+
+    # SHA-256 of the serialized square; the benchmark's planted inputs and
+    # the derived test data depend on the sampler's exact output
+    @pytest.mark.parametrize("order, seed, digest", [
+        (1, 0, "5d90ef7fc0d040fd56a1e48697cfa99e0dfaf4fd803aefefc3b5053ec1d36aea"),
+        (2, 0, "39c4e6c347a3a8b171eb668ec5593e70219f84c4d57f852b2f603ecdc9c14cac"),
+        (3, 1, "c61b2cc07aab1034db6535968ef0b7a47e89f4b8bd95c673fa2c6299ba480429"),
+        (4, 0, "4a746052f40d152c40edf8353a55e2c5aa108d8f39ae6085ba94067a0707adb7"),
+        (4, 17, "826680fa2e5e8f6e15114fa2c95ae95c5fbf8876611e18dffd7fb375ad639c73"),
+        (5, 7, "31eb741d264327c03b2e1506ed086227fac653d4178628aa407d10687a527568"),
+        (6, 11, "43e572f6c65843e4f81131a1a5cf9a0c33e92c1d6c1b00770d216a2c1345cc0f"),
+        (7, 2, "b86703bcb501cc3ba56627b40708f4c2777d033f5d9f1e8a77c55354892059a5"),
+        (8, 1, "93746078c1701b553929e144164e4101901173d51e03fff0f14deef16ac42fd1"),
+        (8, 5, "16b86e48eb153fab71b53a0051f6700e30e4a91211a98c77c4b6e216be75b15d"),
+        (12, 3, "107a9a50846455c5e5ef6d99e5b051e6b09decabd419753b4d3bcb3f49123cf5"),
+        (16, 0, "cbabeef5436703a5420e4a522efa937165bc88a05d65ac63f9e7a0d0dfcb64cf"),
+        (16, 4, "9f19fb72c6c0541e97e2f9fa03cae2fb390db946a00bd363a5803eb2468a0113"),
+        (20, 1, "fb8e68e23873e1cd016a0b445d3dc0ba7b5da9e620fbee47a07b13da5007ad42"),
+        (24, 0, "1ca423fc26163d25955c3aa53a9def8d4981a20b6bcca11a1479a0f4fc77dd17"),
+    ])
+    def test_output_is_pinned(self, order, seed, digest):
+        text = serialize_quasigroup(random_latin(order, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_charges_placed_symbols(self, monkeypatch):
+        monkeypatch.setenv("QOWS_BUDGET", "100000")
+        with pytest.raises(BudgetExceeded,
+                           match="order-40 square: placed symbols exceed budget 100000"):
+            random_latin(40, 0)
+        # an order-s square places at least s^2 symbols
+        monkeypatch.setenv("QOWS_BUDGET", "63")
+        with pytest.raises(BudgetExceeded):
+            random_latin(8, 1)
+
+    def test_order4_enumeration_is_not_charged(self, monkeypatch):
+        monkeypatch.setenv("QOWS_BUDGET", "1")
+        tables = core._order4_tables.__wrapped__()      # uncached
+        assert tables == tuple(q.table for q in enumerate_order4())
 
     @given(st.integers(0, 10_000), st.integers(2, 6))
     @settings(max_examples=40, deadline=None)

@@ -215,7 +215,7 @@ class TestRender:
         monkeypatch.setenv("QOWS_BUDGET", "1000")
         monkeypatch.setattr(io_formats, "periodic_row", unreachable)
         monkeypatch.setattr(io_formats, "e_iterates", unreachable)
-        with pytest.raises(BudgetExceeded, match="render cells 360000 exceeds budget 1000"):
+        with pytest.raises(BudgetExceeded, match="render width 600 times 600 rows exceeds budget 1000"):
             render_iterations(ref_square, 0, (0, 1, 2, 3), 600, 599)
         monkeypatch.undo()
         monkeypatch.setenv("QOWS_BUDGET", "64")
