@@ -22,6 +22,17 @@ def _read(path):
         raise FormatError(f"cannot read {path}: {e}")
 
 
+def _budget(text):
+    """The --budget value: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _load_quasigroup(args, parser):
     if getattr(args, "index", None) is not None:
         return core.from_index(args.index)
@@ -244,7 +255,7 @@ def build_parser():
                     help="output as a packed base-s value (requires --N)")
     sp.add_argument("--N", dest="n", type=int, help="string length")
     sp.add_argument("--leaders", help="leader string for --method brute")
-    sp.add_argument("--budget", type=int, help="evaluation/branch cap")
+    sp.add_argument("--budget", type=_budget, help="evaluation/branch cap")
     sp.add_argument("--first-hit", action="store_true",
                     help="stop at the first preimage (benchmarking)")
     sp.set_defaults(run=_cmd_invert)
@@ -253,7 +264,7 @@ def build_parser():
     _add_common(sp)
     sp.add_argument("--N", dest="n", type=int, required=True)
     sp.add_argument("--leaders", help="leader string")
-    sp.add_argument("--budget", type=int)
+    sp.add_argument("--budget", type=_budget)
     sp.set_defaults(run=_cmd_histogram)
 
     sp = sub.add_parser("search", help="bounded search for a permutation witness")
@@ -262,7 +273,7 @@ def build_parser():
     sp.add_argument("--max-leader-len", type=int, default=4)
     sp.add_argument("--include-indices", action="store_true",
                     help="allow index leaders in the search alphabet")
-    sp.add_argument("--budget", type=int)
+    sp.add_argument("--budget", type=_budget)
     sp.set_defaults(run=_cmd_search)
 
     sp = sub.add_parser("census", help="classify all 576 order-4 quasigroups")

@@ -5,9 +5,11 @@ periods from the exact repeating unit. These are the direct definitions
 they replace: one leader string at a time through the reference
 transformations, and the minimal period of a width-symbol window.
 
-The attack runs on a grid of int cells; reference_attack_r1 is the same
-search on a grid of (row, column) cells in a dict, with the same relation
-order, LIFO queue and early return, so its counters must match exactly.
+The attack runs a propagation schedule, compiled once per output length,
+on blocks of branches held as numpy columns. reference_attack_r1 is the
+depth-first search it reproduces, one branch at a time on a grid of
+(row, column) cells in a dict, with the same relation order, LIFO queue
+and early return, so its counters must match exactly.
 
 The double-reverse attack and brute force share a column sweep that drops
 a tuple at the first output column it misses. reference_attack_r2 is the

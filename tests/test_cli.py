@@ -285,6 +285,8 @@ class TestCensusCommand:
     ["classify", "--index", "47", "--width", "400000000000"],
     ["render", "--index", "5", "--width", "4" * 3000, "--iterations", "4" * 3000],
     ["QOWS_BUDGET=100000", "gen", "--order", "40"],
+    ["invert", "--index", "5", "--method", "attack-r1", "--output", "01", "--budget", "-1"],
+    ["QOWS_BUDGET=-5", "invert", "--index", "5", "--method", "brute", "--output", "01"],
 ])
 def test_bad_input_exits_without_traceback(argv, tmp_path, capsys, monkeypatch):
     non_ascii = tmp_path / "table.qg"
@@ -344,6 +346,18 @@ def test_console_script_entry_point(ref_square_file):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "03202\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["invert", "--index", "5", "--method", "attack-r1", "--output", "01"],
+    ["histogram", "--index", "5", "--N", "2"],
+    ["search", "--index", "5", "--N", "2"],
+])
+def test_negative_budget_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--budget", "-1"])
+    assert e.value.code == 2
+    assert "--budget: must be non-negative" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

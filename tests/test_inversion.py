@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import statistics
+import time
 from unittest import mock
 
 import numpy as np
@@ -62,6 +64,14 @@ class TestBudget:
         monkeypatch.setenv("QOWS_BUDGET", "abc")
         with pytest.raises(FormatError):
             resolve_budget()
+
+    def test_negative_is_refused(self, monkeypatch):
+        monkeypatch.setenv("QOWS_BUDGET", "-5")
+        with pytest.raises(FormatError, match="QOWS_BUDGET must be non-negative"):
+            resolve_budget()
+        with pytest.raises(FormatError, match="budget must be non-negative"):
+            resolve_budget(-1)
+        assert resolve_budget(0) == 0
 
     def test_brute_budget_exceeded(self, ref_square):
         with pytest.raises(BudgetExceeded):
@@ -175,7 +185,8 @@ def _attack_r1_result(q, b, first_hit=False):
 
 @pytest.mark.filterwarnings("ignore::qows.AlgebraicStructureWarning")
 class TestAttackR1Grid:
-    """The int-cell grid against the dict-cell reference, counters included."""
+    """The compiled schedule over blocks of branches against the dict-cell
+    reference, counters included."""
 
     @given(st.integers(2, 16), st.integers(0, 10**6), st.booleans(),
            st.booleans(), st.data())
@@ -202,26 +213,112 @@ class TestAttackR1Grid:
         monkeypatch.setattr(inv, "_hypothesis_warnings", lambda q: [])
         reads = [0]
 
-        class CountedRow(tuple):
-            def __getitem__(self, k):
-                reads[0] += 1
-                return tuple.__getitem__(self, k)
+        class CountedTable(np.ndarray):
+            def take(self, indices, *args, **kwargs):
+                reads[0] += np.size(indices)
+                return self.view(np.ndarray).take(indices, *args, **kwargs)
 
+        table, r1_eval = inv._r1_table, inv._r1_eval
+
+        def counted_r1(q, a):
+            # verifying a candidate through r1 reads n * n cells
+            reads[0] += len(a) ** 2
+            return r1_eval(q, a)
+
+        monkeypatch.setattr(inv, "_r1_table", lambda q: table(q).view(CountedTable))
+        monkeypatch.setattr(inv, "_r1_eval", counted_r1)
         rng = random.Random(5)
         for order in (3, 4, 5, 8):
             for seed in range(3):
                 q = random_latin(order, seed)
-                for name in ("table", "_ldiv", "_rdiv"):
-                    rows = tuple(CountedRow(row) for row in getattr(q, name))
-                    object.__setattr__(q, name, rows)
                 for n in range(1, 8):
                     a = [rng.randrange(order) for _ in range(n)]
-                    b = r1(q, a)
-                    for first_hit in (False, True):
-                        reads[0] = 0
-                        trace = attack_r1(q, b, first_hit=first_hit)
-                        # verifying a candidate through r1 reads n * n cells
-                        assert reads[0] == trace.lookups, (order, seed, n, first_hit)
+                    # planted, and arbitrary: often no preimage
+                    for b, chunk in itertools.product((r1(q, a), tuple(a)), (None, 1)):
+                        case = (order, seed, n, b, chunk)
+                        with mock.patch("qows.transforms.CHUNK_COLUMNS",
+                                        chunk or inv.transforms.CHUNK_COLUMNS):
+                            reads[0] = 0
+                            full = attack_r1(q, b)
+                            assert reads[0] == full.lookups, case
+                            reads[0] = 0
+                            first = attack_r1(q, b, first_hit=True)
+                        ahead = reads[0] - first.lookups
+                        if not first.preimages:
+                            assert ahead == 0, case
+                            continue
+                        # lookups counts the depth-first search, which
+                        # stops at the hit; the rest of the blocks open
+                        # there was read too: with one parent a block, at
+                        # most the s - 1 other guesses at each level
+                        bound = full.lookups - first.lookups
+                        if chunk:
+                            bound = sum((order - 1) * level[2]
+                                        for level in inv._schedule(n)[0][1:])
+                        assert 0 <= ahead <= bound, case
+
+    @pytest.mark.parametrize("first_hit", [False, True])
+    def test_blocks_of_one_parent(self, monkeypatch, first_hit):
+        # a cap of one cell leaves each block the s branches of one parent
+        rng = random.Random(11)
+        cases = []
+        for order in (2, 3, 4, 8):
+            for seed in range(2):
+                q = random_latin(order, seed)
+                for n in (1, 2, 4, 6, 7, 9 if order < 8 else 8):
+                    word = tuple(rng.randrange(order) for _ in range(n))
+                    cases += [(q, r1(q, word)), (q, word)]
+        want = [_attack_r1_result(q, b, first_hit) for q, b in cases]
+        monkeypatch.setattr("qows.transforms.CHUNK_COLUMNS", 1)
+        for (q, b), result in zip(cases, want):
+            assert _attack_r1_result(q, b, first_hit) == result, (q.order, b)
+            guesses = result[1]
+            assert attack_r1(q, b, guesses, first_hit).guesses == guesses
+            with pytest.raises(BudgetExceeded):
+                attack_r1(q, b, guesses - 1, first_hit)
+
+    def test_budget_stops_a_long_output(self):
+        # 4^20 branches at N = 60; blocks are charged as they are grown
+        rng = random.Random(60)
+        q = random_latin(4, 1)
+        b = tuple(rng.randrange(4) for _ in range(60))
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="guess count exceeds budget 1000"):
+            attack_r1(q, b, budget=1000)
+        # about 0.1 s on 2 cores; the bound only rules out a full search
+        assert time.perf_counter() - t0 < 10
+
+    def test_full_search_guesses_order_to_the_third_of_n(self):
+        import qows.inversion as inv
+        for n in range(1, 81):
+            levels = inv._schedule.__wrapped__(n)[0]
+            assert len(levels) == 1 + -(-n // 3), n
+            # every check before the last guess re-reads a relation that
+            # already holds, so only the last level can kill a branch
+            assert not any(step[0] for level in levels[:-1] for step in level[4]), n
+        rng = random.Random(3)
+        for order in (2, 3, 5, 8):
+            q = random_latin(order, order)
+            for n in range(1, 10 if order < 8 else 7):
+                word = tuple(rng.randrange(order) for _ in range(n))
+                for b in (r1(q, word), word):
+                    assert attack_r1(q, b).guesses == order ** -(-n // 3), (order, b)
+
+    @pytest.mark.parametrize("order, medians", [
+        (4, {3: 4, 4: 16, 5: 16, 6: 16, 7: 64, 8: 64, 9: 64}),
+        (8, {3: 8, 4: 64, 5: 64, 6: 64}),
+    ])
+    def test_median_guesses_are_order_to_the_third_of_n(self, order, medians):
+        # the paper's s^(N/3) meeting point: the median over 20 random
+        # squares of planted attacks is exactly s^ceil(N/3)
+        squares = [random_latin(order, seed) for seed in range(20)]
+        for n, want in medians.items():
+            guesses = []
+            for seed, q in enumerate(squares):
+                rng = random.Random(seed * 1000 + n)
+                a = [rng.randrange(order) for _ in range(n)]
+                guesses.append(attack_r1(q, r1(q, a)).guesses)
+            assert statistics.median(guesses) == want == order ** -(-n // 3), n
 
 
 class TestAttackR2:
