@@ -11,6 +11,11 @@ Two independent classifiers split the 576 order-4 quasigroups:
 Both reproduce the same published 192-member class under default settings,
 and the census report surfaces any disagreement between them instead of
 reconciling it silently.
+
+The witness label is constant on isomorphism classes (see census_order4),
+so the census searches exhaustively once per class: the 576 squares fall
+into 35 classes, and only the members of classes with a witness are
+searched again, for their own first witness.
 """
 import itertools
 from dataclasses import dataclass
@@ -19,7 +24,8 @@ import numpy as np
 
 from . import transforms
 from .core import enumerate_order4
-from .errors import BudgetExceeded, EmptyString, FormatError, LengthMismatch
+from .errors import (BudgetExceeded, EmptyString, FormatError, LengthMismatch,
+                     OrderNotSupported)
 from .inversion import charge_budget, resolve_budget
 from .transforms import Const, Index, digit_columns, e_row, family_columns, family_steps
 from .transforms import check_periodic, flat_table, pack_columns, symbol_dtype
@@ -339,15 +345,61 @@ class CensusReport:
         return not self.published_missing and not self.published_extra
 
 
+def isomorphism_classes(squares):
+    """For each of several squares of one order, the 0-based position of
+    its isomorphism class's representative: the class's first member in
+    the given order.
+
+    Relabeling q by sigma gives q^sigma[sigma x][sigma y] = sigma(q[x][y]).
+    A square's canonical key is the least of its relabeled flattened tables
+    over every sigma, packed in base s (exact in int64 up to order 5, as
+    5^25 < 2^63), so squares are isomorphic exactly when their keys match.
+    """
+    if not squares:
+        return ()
+    s = squares[0].order
+    if s > 5:
+        raise OrderNotSupported(f"isomorphism classes are computed up to order 5, got {s}")
+    tables = np.array([q.table for q in squares], dtype=np.int64).reshape(len(squares), s * s)
+    weights = s ** np.arange(s * s - 1, -1, -1, dtype=np.int64)
+    key = None
+    for sigma in map(np.array, itertools.permutations(range(s))):
+        inverse = np.argsort(sigma)     # cell (u, v) of q^sigma is sigma(q[inverse u][inverse v])
+        cells = (inverse[:, None] * s + inverse).ravel()
+        packed = sigma[tables[:, cells]] @ weights
+        key = packed if key is None else np.minimum(key, packed)
+    _, first, which = np.unique(key, return_index=True, return_inverse=True)
+    return tuple(first[which].tolist())
+
+
 def census_order4(settings=None):
     """Classify all 576 order-4 quasigroups by witness search, with the
-    period criterion computed alongside for the coincidence check."""
+    period criterion computed alongside for the coincidence check.
+
+    The witness label is searched once per isomorphism class. Relabeling by
+    sigma commutes with the e-step: e^{q^sigma}_{sigma l}(sigma a) =
+    sigma(e^q_l(a)). Index leaders read input symbols, which are relabeled
+    with the input, so R_N^{q^sigma, sigma L} = sigma . R_N^{q,L} . sigma^-1,
+    a bijection exactly when R_N^{q,L} is. As sigma also permutes the leader
+    strings of each length, a class has a witness within the length bound
+    exactly when its representative has, for every N, length bound and
+    token set. Which witness comes first in leader_strings order is not
+    invariant (sigma reorders the constants), so each member of a witnessed
+    class is searched for its own.
+    """
     st = settings or ClassifySettings()
     squares = enumerate_order4()
     leaders = st.leaders_for(squares[0])
     unit = _start_unit(squares[0], st.motif, st.width, st.iterations)
     _check_search(squares[0].order, st.n, st.max_len, st.include_indices, None)
-    witnesses = _first_witnesses(squares, st.n, st.max_len, st.include_indices)
+    search = (st.n, st.max_len, st.include_indices)
+    rep = isomorphism_classes(squares)
+    heads = sorted(set(rep))
+    labels = dict(zip(heads, _first_witnesses([squares[i] for i in heads], *search)))
+    members = [i for i, r in enumerate(rep) if labels[r] is not None]
+    found = (dict(zip(members, _first_witnesses([squares[i] for i in members], *search)))
+             if members else {})
+    witnesses = [found.get(i) for i in range(len(squares))]
     fractal, non_fractal, periods, disagree = [], [], {}, []
     for idx, (q, witness) in enumerate(zip(squares, witnesses), 1):
         point = max((_unit_profile(q.table, l, unit, st.width, st.iterations)[-1]

@@ -218,7 +218,8 @@ def random_latin(s, seed):
     Rows are placed one at a time, each the lexicographically first
     extension of the rows above in a freshly shuffled symbol order; by
     M. Hall's theorem one always exists. Each placed symbol is charged
-    against the budget (QOWS_BUDGET or the default). The same (s, seed)
+    against the budget (QOWS_BUDGET or the default), and an order whose s^2
+    symbols already exceed it is refused up front. The same (s, seed)
     pair always produces the identical square. The sampler is not uniform
     over all Latin squares, which is acceptable for attack benchmarking.
     """
@@ -226,10 +227,13 @@ def random_latin(s, seed):
         raise OrderNotSupported("order must be at least 1")
     rng = Random(seed)
     limit, placed = resolve_budget(), itertools.count(1)
+    over = f"order-{s} square: placed symbols exceed budget {limit}"
+    if s * s > limit:       # a finished square places s^2 symbols; refuse before the row scans
+        raise BudgetExceeded(over)
 
     def charge():
         if next(placed) > limit:
-            raise BudgetExceeded(f"order-{s} square: placed symbols exceed budget {limit}")
+            raise BudgetExceeded(over)
 
     rows = []
     for _ in range(s):

@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from qows import (
     FormatError,
     Index,
     LengthMismatch,
+    OrderNotSupported,
     OwfSpec,
     PeriodPoint,
     Quasigroup,
@@ -18,7 +22,9 @@ from qows import (
     classify,
     enumerate_order4,
     from_index,
+    isomorphism_classes,
     leader_strings,
+    lex_index,
     minimal_period,
     period_profile,
     permutation_search,
@@ -26,6 +32,7 @@ from qows import (
     random_latin,
     serialize_leaders,
 )
+from qows.classification import _first_witnesses
 
 import data
 from oracles import reference_witness, window_profile, window_rows
@@ -294,6 +301,65 @@ class TestCensus:
     def test_out_of_range_leader_rejected(self, leader):
         with pytest.raises(SymbolOutOfRange):
             census_order4(ClassifySettings(leaders=(leader,)))
+
+    @pytest.mark.parametrize("n, max_len, include_indices",
+                             [(1, 4, False), (3, 2, False), (2, 2, True)])
+    def test_witnesses_match_per_square_search(self, n, max_len, include_indices):
+        report = census_order4(ClassifySettings(n=n, max_len=max_len,
+                                                include_indices=include_indices))
+        expected = _first_witnesses(enumerate_order4(), n, max_len, include_indices)
+        assert report.witnesses == dict(enumerate(expected, 1))
+
+
+def relabel(q, sigma):
+    """q^sigma, with q^sigma[sigma x][sigma y] = sigma(q[x][y])."""
+    table = [[0] * q.order for _ in range(q.order)]
+    for x, y in itertools.product(range(q.order), repeat=2):
+        table[sigma[x]][sigma[y]] = sigma[q.table[x][y]]
+    return Quasigroup(table)
+
+
+def canonical_positions(squares):
+    """isomorphism_classes by brute force: first position of each least
+    relabeled flattened table."""
+    first = {}
+    return tuple(first.setdefault(min(sum(relabel(q, sigma).table, ())
+                                      for sigma in itertools.permutations(range(q.order))), i)
+                 for i, q in enumerate(squares))
+
+
+class TestIsomorphismClasses:
+    @pytest.fixture(scope="class")
+    def reps(self):
+        return isomorphism_classes(enumerate_order4())
+
+    @pytest.mark.parametrize("idx", [1, 46, 47, 355, 576])
+    def test_every_relabeling_shares_the_representative(self, reps, idx):
+        q = from_index(idx)
+        for sigma in itertools.permutations(range(4)):
+            assert reps[lex_index(relabel(q, sigma)) - 1] == reps[idx - 1]
+
+    def test_class_count_and_sizes(self, reps):
+        sizes = Counter(reps)
+        assert len(sizes) == 35 and sum(sizes.values()) == 576
+        assert all(reps[r] == r and r <= i for i, r in enumerate(reps))
+
+    def test_witness_label_is_a_class_invariant(self, reps):
+        labels = {}
+        for i, witness in enumerate(_first_witnesses(enumerate_order4(), 2, 4, False)):
+            assert labels.setdefault(reps[i], witness is not None) == (witness is not None)
+        assert sum(labels.values()) == 19
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 5])
+    def test_matches_brute_force_canonical_form(self, order):
+        squares = [random_latin(order, seed) for seed in range(30)]
+        squares += [relabel(squares[0], sigma) for sigma in itertools.permutations(range(order))]
+        assert isomorphism_classes(squares) == canonical_positions(squares)
+
+    def test_edge_cases(self):
+        assert isomorphism_classes([]) == ()
+        with pytest.raises(OrderNotSupported):
+            isomorphism_classes([random_latin(6, 0)])
 
 
 def test_published_list_integrity():

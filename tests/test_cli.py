@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -9,6 +10,7 @@ import warnings
 import pytest
 
 import qows
+from qows import ClassifySettings, classification
 from qows import parse_quasigroup, render_iterations, from_index
 from qows.cli import main
 
@@ -259,6 +261,34 @@ class TestCensusCommand:
         assert doc["publishedDiff"] == {"missing": [], "extra": []}
 
 
+@pytest.fixture(scope="module")
+def census_reports(census_default):
+    """Census reports by settings, the default one shared with the session."""
+    return {ClassifySettings(): census_default[0]}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ([], "f01775c65e5ee6c740f053fbf4f7720eb89660ab03c4a766b339fd5fb329dc21"),
+    (["--include-indices"], "d60b45542f33d9adbf6820f17cca83a831f5c09cf38fd35e318a85d6c705610a"),
+    (["--json"], "02e57599e9ad27707e52206f4fdea6ba2f63ab1274d3247aab301cc1f4f98f8d"),
+    (["--json", "--include-indices"],
+     "def51e7cad07a94dd8e5b0c095e7ac27b0175f4ba27cbaa8ed7410b5c3c3d631"),
+], ids=["text", "text-indices", "json", "json-indices"])
+def test_census_output_is_pinned(argv, digest, census_reports, tmp_path, monkeypatch):
+    # the text and JSON outputs of one settings serialize one report
+    census = classification.census_order4
+
+    def shared(settings=None):
+        if settings not in census_reports:
+            census_reports[settings] = census(settings)
+        return census_reports[settings]
+
+    monkeypatch.setattr(classification, "census_order4", shared)
+    out = tmp_path / "census.out"
+    assert main(["census", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--index", "5", "--width", "4095"],
     ["classify", "--index", "5", "--leaders", "x"],
@@ -287,6 +317,7 @@ class TestCensusCommand:
     ["QOWS_BUDGET=100000", "gen", "--order", "40"],
     ["invert", "--index", "5", "--method", "attack-r1", "--output", "01", "--budget", "-1"],
     ["QOWS_BUDGET=-5", "invert", "--index", "5", "--method", "brute", "--output", "01"],
+    ["gen", "--order", "100000"],
 ])
 def test_bad_input_exits_without_traceback(argv, tmp_path, capsys, monkeypatch):
     non_ascii = tmp_path / "table.qg"
