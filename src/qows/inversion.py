@@ -26,9 +26,11 @@ branches at once: they are the columns of one array, and each wavefront
 is one take over all of them. A closing check that fails drops its
 columns. Levels are grown depth first in blocks, and guesses and reads
 are charged in the order of the depth-first search the attack defines.
-For every N from 1 to 80 the schedule guesses ceil(N/3) cells and has no
-closing check before the last guess. A full search then makes exactly
-s^ceil(N/3) guesses, the paper's s^(N/3) meeting point.
+For every N checked (1 to 120, 150, 200 and 241) the schedule guesses
+ceil(N/3) cells and has no closing check before the last guess. A full
+search then makes exactly s^ceil(N/3) guesses, the paper's s^(N/3)
+meeting point, so one over the budget is refused before its schedule is
+compiled.
 
 The double-reverse function has no such meeting point: no cross-check binds
 until a full input tuple has been guessed, which separates the two attack
@@ -435,7 +437,10 @@ def attack_r1(q, b, budget=None, first_hit=False):
     to a fixpoint, until the whole input row is forced. Complete candidates
     are verified by forward evaluation, so every returned preimage is exact.
     The search is depth first; guesses and lookups are those it makes, in
-    its order, and each guess is charged against the budget.
+    its order, and each guess is charged against the budget. A full search
+    makes exactly s^ceil(N/3) guesses, so one over the budget is refused
+    before the schedule is compiled; under first_hit the search may stop
+    early, so it is charged guess by guess only.
 
     The propagation follows a schedule compiled once per output length
     (_schedule). Branches are grown a block at a time, as the columns of an
@@ -454,6 +459,12 @@ def attack_r1(q, b, budget=None, first_hit=False):
     notes = _hypothesis_warnings(q)
     s = q.order
     limit = resolve_budget(budget)
+    # a full search makes exactly s^ceil(n/3) guesses; refuse one over the
+    # budget before compiling its schedule (an exponent of the limit's bit
+    # length or more is over it without computing the power)
+    full = -(-n // 3)
+    if not first_hit and (s > 1 and full >= limit.bit_length() or s**full > limit):
+        raise BudgetExceeded(f"guess count exceeds budget {limit}")
     levels, seeds = _schedule(n)
     table = _r1_table(q)
     inherit, width, reads, *_, out = levels[0]

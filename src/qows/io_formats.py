@@ -135,7 +135,9 @@ def render_iterations(q, leader, motif, width, iterations, text=False):
 
     Row 0 is the periodic extension of motif to width; row k+1 is the
     transformation of row k with the constant leader. The rows come from
-    transforms.e_iterates, one vectorized step per anti-diagonal, and the
+    transforms.e_iterates, which sweeps the grid in b x b tiles (b =
+    transforms.tile_side(order): 3 at order 4, 1 from order 9 up), one
+    vectorized step per anti-diagonal of tiles, and the
     width * (iterations + 1) cells are charged against the budget
     (QOWS_BUDGET or the default) before anything is allocated. Binary P6
     by default, one palette lookup for the whole body; text P3 with

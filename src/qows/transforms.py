@@ -14,6 +14,15 @@ where the leader sequence comes from:
 Leader application order follows the worked numeric examples: the resolved
 leader sequence is consumed left to right, the first listed leader applied
 first, and the reversed input contributes (a_{N-1}, ..., a_0) in that order.
+
+Besides the pure-Python reference steps, two vectorized forms run the same
+step: e_columns over many independent strings, and e_iterates over the grid
+of a string and its iterates with a constant leader, the renderer's input.
+That grid is swept in b x b tiles, b = tile_side(order), the largest with
+order^(2b) <= TILE_ENTRIES (3 at order 4, 1 from order 9 up): a tile
+follows from the b symbols left of it and the b above it, so one table of
+all tiles is built per call and each anti-diagonal of tiles is two takes
+and an add.
 """
 import itertools
 from dataclasses import dataclass
@@ -114,55 +123,114 @@ def e_columns(mul, order, leader, state, offset=None):
     return state
 
 
+# Entries of e_iterates' tile table: the tile side is the largest b with
+# order^(2b) <= TILE_ENTRIES.
+TILE_ENTRIES = 4096
+
+
+def tile_side(order):
+    """The side b of e_iterates' tiles: the largest b >= 1 with
+    order^(2b) <= TILE_ENTRIES, so 3 at order 4 and 1 from order 9 up
+    (1 at order 1, where every b qualifies)."""
+    b = 1
+    while order > 1 and order ** (2 * b + 2) <= TILE_ENTRIES:
+        b += 1
+    return b
+
+
+def _tile_table(q, leader, b):
+    """The table of e_iterates' b x b tiles under the constant leader:
+    (right, bottom, rows) over the tile ids, s^(2b) real ones and s^b + 1
+    virtual ones.
+
+    Id i < s^(2b) is the tile whose left word (the b symbols left of it,
+    the top one most significant) is i // s^b and whose top word (the b
+    above it, the left one most significant) is i % s^b; right[i] is its
+    right edge times s^b, bottom[i] its bottom edge, and rows[r, i] its
+    row r as one item of b symbols. Virtual id s^(2b) + w has bottom edge
+    w, and virtual id s^(2b) + s^b the leader's word as its right edge.
+    """
+    s = q.order
+    dtype = symbol_dtype(s)
+    span = s**b
+    count = span * span
+    digits = digit_columns(0, count, s, 2 * b, dtype)
+    # cells[r, c, i]: cell (r, c) of tile i, each row one e-step led by
+    # the left word's symbol r over the row above
+    mul, above, cells = flat_table(q), digits[b:], np.empty((b, b, count), dtype)
+    for r in range(b):
+        cells[r] = above
+        above = e_columns(mul, s, digits[r], cells[r])
+    right, bottom = np.zeros((2, count + span + 1), np.min_scalar_type(count + span))
+    right[:count] = pack_columns(cells[:, -1], s) * span
+    right[-1] = sum(leader * s**i for i in range(b)) * span
+    bottom[:count] = pack_columns(cells[-1], s)
+    bottom[count:-1] = np.arange(span)
+    rows = np.ascontiguousarray(cells.transpose(0, 2, 1))
+    return right, bottom, rows.view(f"V{b * rows.itemsize}")[..., 0]
+
+
 def e_iterates(q, leader, row, iterations):
     """row and its first iterations iterates under e_transform with the
     constant leader, unchecked: a read-only (iterations + 1, len(row))
     array in symbol_dtype.
 
-    Cell (k, j) is T[cell (k, j-1)][cell (k-1, j)] with the leader left of
-    column 0, so every cell of an anti-diagonal k + j = d follows from
-    diagonal d - 1 in one vectorized step. Column 0 is the orbit of row[0]
-    under x -> leader * x, a cycle of at most s symbols, so both edges are
-    known first. The grid of H = iterations + 1 rows and W = len(row)
-    columns is stored skewed, diagonal d as row d of a buffer of
-    (H + W - 1) * min(H, W) symbols, and read back through a strided view;
-    the sweep takes H + W numpy steps. A grid taller than wide is swept as
-    its transpose: cell (j, k) of the transpose is
-    T'[cell (j, k-1)][cell (j-1, k)] for the transposed table T', with the
-    edges swapped.
+    Cell (k, j) is T[cell (k, j-1)][cell (k-1, j)], with the leader left
+    of column 0. Rows 1..iterations are cut into b x b tiles, b =
+    tile_side(order). A tile's cells depend only on the b symbols left of
+    it and the b above it, so each tile is an id into one table built per
+    call (_tile_table), and tile (i, j) is right[tile (i, j-1)] +
+    bottom[tile (i-1, j)]: every anti-diagonal of tiles follows from the
+    one before in two takes and an add. At order 4 (b = 3) a 600 x 600
+    grid takes 399 anti-diagonals of tiles instead of 1199 of cells; at
+    b = 1 the table is T and a tile is a cell. The leader is a virtual
+    column of tiles left of column 0, and row 0 a virtual row above row 1.
+
+    With R rows and C columns of tiles, the ids are stored skewed,
+    anti-diagonal d as row d of a buffer of (R + C + 1) * (min(R, C) + 1)
+    ids, and read back through a strided view; a grid with more rows of
+    tiles than columns is swept as its transpose, with right and bottom
+    swapped. Then one gather per row of a tile expands the ids into the
+    cells; the padding below the last row is never expanded, and that
+    right of the last column is cropped off.
     """
-    s = q.order
+    s, width = q.order, len(row)
     dtype = symbol_dtype(s)
-    step = q.table[leader]
-    orbit = [row[0]]
-    while step[orbit[-1]] != orbit[0]:
-        orbit.append(step[orbit[-1]])
-    top = np.array(row, dtype)
-    left = np.resize(np.array(orbit, dtype), iterations + 1)
-    mul = flat_table(q)
-    tall = len(left) > len(top)
+    b = tile_side(s)
+    right, bottom, rows = _tile_table(q, leader, b)
+    count = s ** (2 * b)
+    n, m = -(-iterations // b) + 1, -(-width // b) + 1
+    padded = np.zeros((m - 1) * b, dtype)
+    padded[:width] = row
+    top = pack_columns(padded.reshape(m - 1, b).T, s) + count
+    left = len(right) - 1
+    tall = n > m
     if tall:
-        mul = mul.reshape(s, s).T.ravel()
-        top, left = left, top
-    n, m = len(left), len(top)
-    buf = np.empty((n + m - 1, n), dtype)
+        right, bottom, top, left, n, m = bottom, right, left, top, m, n
+    buf = np.empty((n + m - 1, n), right.dtype)
     flat = buf.ravel()
-    flat[:m * n:n] = top          # cell (0, d) is buf[d, 0]
-    flat[:n * (n + 1):n + 1] = left   # cell (d, 0) is buf[d, d]
-    idx = np.empty(n, dtype=np.intp)
+    flat[n:m * n:n] = top                # tile (0, d) is buf[d, 0]
+    flat[n + 1:n * (n + 1):n + 1] = left   # tile (d, 0) is buf[d, d]
     for d in range(2, n + m - 1):
-        # cells (i, d - i) for lo <= i < hi; left (i, d-1-i) and up
+        # tiles (i, d - i) for lo <= i < hi; left (i, d-1-i) and up
         # (i-1, d-i) are buf[d-1, i] and buf[d-1, i-1]
         lo, hi = max(1, d - m + 1), min(n, d)
-        prev, col = buf[d - 1], idx[:hi - lo]
-        # index arithmetic in intp: a uint8 row times order would wrap
-        np.multiply(prev[lo:hi], s, out=col, dtype=np.intp)
-        col += prev[lo - 1:hi - 1]
+        prev, cur = buf[d - 1], buf[d, lo:hi]
         # indices are in range; mode "raise" would buffer out
-        mul.take(col, out=buf[d, lo:hi], mode="clip")
-    grid = np.lib.stride_tricks.as_strided(
-        buf, (n, m), ((n + 1) * buf.itemsize, n * buf.itemsize), writeable=False)
-    return grid.T if tall else grid
+        right.take(prev[lo:hi], out=cur, mode="clip")
+        cur += bottom.take(prev[lo - 1:hi - 1], mode="clip")
+    tiles = np.lib.stride_tricks.as_strided(
+        buf, (n, m), ((n + 1) * buf.itemsize, n * buf.itemsize))
+    tiles = (tiles.T if tall else tiles)[1:, 1:]
+    grid = np.empty((iterations + 1, len(padded)), dtype)
+    grid[0] = padded
+    for r in range(b):
+        part = grid[1 + r::b]
+        part.view(rows.dtype)[...] = rows[r][tiles[:len(part)]]
+    if width < grid.shape[1]:
+        grid = grid[:, :width].copy()
+    grid.flags.writeable = False
+    return grid
 
 
 # Columns per block in every bulk path.

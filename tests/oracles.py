@@ -17,8 +17,8 @@ scan it replaced, which peels the last N steps off the output for every
 guess tuple and compares the middle row with the tuple's r1 image;
 reference_preimages compares whole images of all of Q^N.
 
-The renderer sweeps anti-diagonals; reference_render is the row-by-row
-loop it replaced. algebraic_probe compares whole (v, w) slices;
+The renderer sweeps anti-diagonals of tiles; reference_render is the
+row-by-row loop it replaced. algebraic_probe compares whole (v, w) slices;
 reference_algebraic_probe is the scalar scan it replaced.
 """
 import itertools

@@ -312,6 +312,7 @@ def test_census_output_is_pinned(argv, digest, census_reports, tmp_path, monkeyp
     ["histogram", "--index", "5", "--N", "8000"],
     ["invert", "--index", "5", "--method", "attack-r2", "--output", "{long}"],
     ["invert", "--index", "5", "--method", "brute", "--output", "{long}"],
+    ["invert", "--index", "5", "--method", "attack-r1", "--output", "{long}"],
     ["classify", "--index", "47", "--width", "400000000000"],
     ["render", "--index", "5", "--width", "4" * 3000, "--iterations", "4" * 3000],
     ["QOWS_BUDGET=100000", "gen", "--order", "40"],

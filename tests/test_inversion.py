@@ -102,6 +102,24 @@ class TestBudget:
         with pytest.raises(BudgetExceeded):
             attack_r1(ref_square, b, budget=data.R1_ATTACK_GUESSES - 1)
 
+    def test_attack_r1_refuses_an_over_budget_full_search_up_front(self, ref_square, monkeypatch):
+        # a full search makes exactly s^ceil(N/3) guesses; 4^2667 is over
+        # the default by its exponent alone, and 4^2 over 15
+        def unreachable(n):
+            raise AssertionError("schedule compiled for a refused search")
+
+        monkeypatch.setattr("qows.inversion._schedule", unreachable)
+        for b, budget in (((0,) * 8000, None), (data.R1_ATTACK_B, data.R1_ATTACK_GUESSES - 1)):
+            t0 = time.perf_counter()
+            with pytest.raises(BudgetExceeded, match=r"^guess count exceeds budget \d+$"):
+                attack_r1(ref_square, b, budget=budget)
+            assert time.perf_counter() - t0 < 1
+
+    def test_attack_r1_first_hit_is_charged_guess_by_guess(self, ref_square):
+        # first_hit may stop before s^ceil(N/3) guesses: no up-front refusal
+        trace = attack_r1(ref_square, data.R1_ATTACK_B, budget=1, first_hit=True)
+        assert (trace.preimages, trace.guesses) == (data.R1_ATTACK_PREIMAGES[:1], 1)
+
     def test_attack_r1_reads_env_budget(self, ref_square, monkeypatch):
         monkeypatch.setenv("QOWS_BUDGET", str(data.R1_ATTACK_GUESSES - 1))
         with pytest.raises(BudgetExceeded):
@@ -199,7 +217,11 @@ class TestAttackR1Grid:
                                            min_size=n, max_size=n)))
         # an arbitrary target is contradiction-heavy and often has no preimage
         b = r1(q, word) if planted else word
-        assert _attack_r1_result(q, b, first_hit) == reference_attack_r1(q, b, first_hit)
+        result = _attack_r1_result(q, b, first_hit)
+        assert result == reference_attack_r1(q, b, first_hit)
+        # the count attack_r1 refuses an over-budget full search by
+        if not first_hit:
+            assert result[1] == order ** -(-n // 3)
 
     def test_benchmark_squares_match_reference(self, benchmark_squares):
         rng = random.Random(9)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,10 +25,12 @@ from qows import (
     r2,
     r_n,
     random_latin,
+    render_iterations,
     resolve_leaders,
     transformation_rows,
     unpack_string,
 )
+from qows import transforms
 from qows.transforms import (
     digit_columns,
     e_columns,
@@ -38,9 +41,11 @@ from qows.transforms import (
     leader_ids,
     pack_columns,
     symbol_dtype,
+    tile_side,
 )
 
 import data
+from oracles import reference_render
 
 
 class TestETransform:
@@ -136,8 +141,74 @@ def _owning_buffer(arr):
     return arr
 
 
+def _assert_iterates(q, leader, row, iterations):
+    grid = e_iterates(q, leader, row, iterations)
+    assert grid.shape == (iterations + 1, len(row))
+    assert grid.dtype == symbol_dtype(q.order)
+    assert not grid.flags.writeable
+    assert tuple(grid[0]) == tuple(row)
+    for k in range(iterations):
+        assert tuple(grid[k + 1]) == e_transform(q, leader, grid[k].tolist())
+
+
+# e_iterates' working memory in bytes, at most this many times
+# (H + W) * min(H, W) for H rows and W columns
+ITERATES_MEMORY_FACTOR = 16
+
+
 class TestIterates:
-    """e_iterates, the anti-diagonal sweep, against e_transform row by row."""
+    """e_iterates, the sweep over tiles, against e_transform row by row."""
+
+    @pytest.mark.parametrize("order, side", [
+        (1, 1), (2, 6), (3, 3), (4, 3), (5, 2), (8, 2), (9, 1), (64, 1), (257, 1)])
+    def test_tile_side(self, order, side):
+        # the largest b with order^(2b) <= 4096
+        assert tile_side(order) == side
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 8, 64, 257])
+    def test_every_tile_side(self, order):
+        # sizes around the tile side b, none or one a multiple of it, and
+        # iterations = 0; the render against the row-by-row reference too
+        b = tile_side(order)
+        rnd = random.Random(order)
+        q = random_latin(order, order) if order <= 8 else \
+            Quasigroup(data.shuffled_cyclic(order, rnd))
+        sizes = sorted({1, b - 1, b + 1, 2 * b + 1} - {0})
+        for width, height in itertools.product(sizes, sizes):
+            row = tuple(rnd.randrange(order) for _ in range(width))
+            leader = rnd.randrange(order)
+            _assert_iterates(q, leader, row, height - 1)
+            for text in (False, True):
+                assert render_iterations(q, leader, row, width, height - 1, text) == \
+                    reference_render(q, leader, row, width, height - 1, text)
+
+    def test_order_4_sweeps_a_third_of_the_anti_diagonals(self, ref_square, monkeypatch):
+        # one take of the right table per anti-diagonal of tiles: 600 x 600
+        # cells have 1199 anti-diagonals, their 3 x 3 tiles 399
+        steps = [0]
+
+        class Counted(np.ndarray):
+            def take(self, *args, **kwargs):
+                steps[0] += 1
+                return self.view(np.ndarray).take(*args, **kwargs)
+
+        table = transforms._tile_table
+
+        def counted(q, leader, b):
+            right, bottom, rows = table(q, leader, b)
+            return right.view(Counted), bottom, rows
+
+        monkeypatch.setattr(transforms, "_tile_table", counted)
+        e_iterates(ref_square, 0, (0, 1, 2, 3) * 150, 599)
+        assert 0 < steps[0] <= -(-599 // 3) + -(-600 // 3)
+
+    @given(st.integers(1, 70), st.integers(1, 40), st.integers(0, 40),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_transformation(self, order, width, iterations, rnd):
+        q = Quasigroup(data.shuffled_cyclic(order, rnd))
+        row = tuple(rnd.randrange(order) for _ in range(width))
+        _assert_iterates(q, rnd.randrange(order), row, iterations)
 
     @pytest.mark.parametrize("order, width, iterations", [
         (4, 8, 299), (4, 300, 7), (257, 8, 299), (5, 1, 40), (3, 12, 0)])
@@ -147,18 +218,26 @@ class TestIterates:
         q = Quasigroup(data.shuffled_cyclic(order, rnd))
         row = tuple(rnd.randrange(order) for _ in range(width))
         for leader in {0, order - 1, rnd.randrange(order)}:
-            grid = e_iterates(q, leader, row, iterations)
-            assert grid.shape == (iterations + 1, width)
-            assert grid.dtype == symbol_dtype(order)
-            assert tuple(grid[0]) == row
-            for k in range(iterations):
-                assert tuple(grid[k + 1]) == e_transform(q, leader, grid[k].tolist())
+            _assert_iterates(q, leader, row, iterations)
 
     @pytest.mark.parametrize("width, height", [(600, 600), (8, 300), (300, 8), (4, 5001)])
     def test_buffer_is_bounded_by_the_shorter_side(self, ref_square, width, height):
         grid = e_iterates(ref_square, 1, (0, 1, 2, 3) * (width // 4), height - 1)
         assert _owning_buffer(grid).size <= (height + width) * min(height, width)
         assert not grid.flags.writeable
+
+    @pytest.mark.parametrize("width, height", [(4, 5001), (5001, 4), (32, 4096)])
+    def test_working_memory_is_bounded_by_the_shorter_side(self, ref_square, width, height):
+        # a buffer skewed along the longer side would hold about
+        # (H + W) * max(H, W) / b^2 tile ids: 2.8 M at 4 x 5001, 5.6 MB
+        row = [j % 4 for j in range(width)]
+        tracemalloc.start()
+        try:
+            e_iterates(ref_square, 1, row, height - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ITERATES_MEMORY_FACTOR * (height + width) * min(height, width)
 
 
 def _columns(arr):
