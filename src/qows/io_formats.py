@@ -214,9 +214,33 @@ def serialize_attack_trace(trace, order):
     return "\n".join(lines) + "\n"
 
 
+def _decimal_rows(a):
+    """The decimal digits of the non-negative integers a, most significant
+    first, as the ASCII rows of a (width, len(a)) uint8 array, width the
+    digit count of a.max(); and the mask of the digits shown, False on the
+    leading zeros."""
+    top = a.max()
+    rest = a.astype(np.min_scalar_type(top))
+    digits = np.empty((len(str(top)), len(a)), np.uint8)
+    shown = np.empty(digits.shape, bool)
+    for row, show in zip(digits[::-1], shown[::-1]):
+        np.not_equal(rest, 0, out=show)
+        quot = rest // 10
+        np.subtract(rest, quot * 10, out=row, casting="unsafe")
+        rest = quot
+    shown[-1] = True
+    digits += ord("0")
+    return digits, shown
+
+
 def serialize_histogram(hist):
     """Counts in packed-value order, preceded by the derived flags. Domains
-    above 4096 list only the nonzero entries."""
+    above 4096 list only the nonzero entries.
+
+    The "<value> <count>" lines are written as one matrix of ASCII cells,
+    a row per entry, both numbers zero-padded to a fixed width; one
+    boolean mask drops the leading zeros, and the rest decodes at once.
+    """
     full = hist.domain_size <= 4096
     lines = [
         f"domain {hist.domain_size}",
@@ -224,10 +248,21 @@ def serialize_histogram(hist):
         f"regular {'true' if hist.is_regular else 'false'}",
         f"entries {'all' if full else 'nonzero'}",
     ]
-    for value, count in enumerate(hist.counts.tolist()):
-        if full or count:
-            lines.append(f"{value} {count}")
-    return "\n".join(lines) + "\n"
+    head = "\n".join(lines) + "\n"
+    counts = hist.counts
+    values = np.arange(len(counts)) if full else np.flatnonzero(counts)
+    if not len(values):
+        return head
+    value_digits, value_shown = _decimal_rows(values)
+    count_digits, count_shown = _decimal_rows(counts[values])
+    split = len(value_digits)
+    text = np.empty((split + len(count_digits) + 2, len(values)), np.uint8)
+    shown = np.ones(text.shape, bool)
+    text[:split], shown[:split] = value_digits, value_shown
+    text[split] = ord(" ")
+    text[split + 1:-1], shown[split + 1:-1] = count_digits, count_shown
+    text[-1] = ord("\n")
+    return head + text.T[shown.T].tobytes().decode("ascii")
 
 
 def _period_field(point):

@@ -253,12 +253,39 @@ def leader_ids(spec):
 
 def digit_columns(lo, hi, base, n, dtype):
     """Strings lo..hi-1 of base^n in pack_string order, as the columns of
-    an (n, hi - lo) array of dtype."""
-    t = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((n, hi - lo), dtype=dtype)
+    an (n, hi - lo) array of dtype.
+
+    Row j holds digit (t // run) % base of each t, run = base^(n-1-j):
+    runs of run equal symbols counting up, repeating with period
+    run * base. No division touches the block: the row's first
+    min(period, width) cells are a short arange repeated run times,
+    entered at the block's offset into the period, and the rest of the
+    row copies them forward.
+    """
+    width = hi - lo
+    out = np.empty((n, width), dtype=dtype)
+    if not width:
+        return out
+    symbols = np.arange(base, dtype=dtype)
+    cycle = np.concatenate((symbols, symbols))
+    run = 1
     for row in out[::-1]:
-        np.remainder(t, base, out=row, casting="unsafe")
-        t //= base
+        period = run * base
+        first, into = divmod(lo % period, run)
+        m = min(period, width)
+        # the first run has run - into cells left; a run longer than m
+        # shows at most one step, so repeat each symbol only r times and
+        # enter where that step still falls run - into cells on (or past m)
+        r = min(run, m)
+        into = r - min(run - into, r)
+        count = -(-(into + m) // r)
+        row[:m] = cycle[first:first + count].repeat(r)[into:into + m]
+        done = m
+        while done < width:
+            step = min(done, width - done)
+            row[done:done + step] = row[:step]
+            done += step
+        run = period
     return out
 
 

@@ -15,7 +15,12 @@ The double-reverse attack and brute force share a column sweep that drops
 a tuple at the first output column it misses. reference_attack_r2 is the
 scan it replaced, which peels the last N steps off the output for every
 guess tuple and compares the middle row with the tuple's r1 image;
-reference_preimages compares whole images of all of Q^N.
+reference_preimages compares whole images of all of Q^N. Both enumerate
+Q^N with itertools.product, not with the package's digit_columns.
+
+The histogram record writes its "<value> <count>" lines from one matrix
+of digits; reference_histogram_text is the per-entry f-string loop it
+replaced.
 
 The renderer sweeps anti-diagonals of tiles; reference_render is the
 row-by-row loop it replaced. algebraic_probe compares whole (v, w) slices;
@@ -28,9 +33,9 @@ import numpy as np
 from qows import (AlgebraicProfile, FormatError, OwfSpec, PeriodPoint,
                   leader_strings, minimal_period, palette)
 from qows import transforms
-from qows.transforms import (digit_columns, e_row, family_columns, family_steps,
-                             flat_table, leader_ids, periodic_row, r1,
-                             resolve_leaders, symbol_dtype, unpack_string)
+from qows.transforms import (e_row, family_columns, family_steps, flat_table,
+                             leader_ids, periodic_row, r1, resolve_leaders,
+                             symbol_dtype)
 
 
 def reference_witness(q, n, max_len, include_indices=False):
@@ -181,6 +186,13 @@ def _e_inverse_columns(ldiv, order, leader, state):
     return state
 
 
+def _strings(order, n, dtype, prefix=()):
+    """The strings of Q^n that start with prefix, in packed order, as the
+    columns of an array: itertools.product, not the package's enumerator."""
+    tails = itertools.product(range(order), repeat=n - len(prefix))
+    return np.array([prefix + t for t in tails], dtype=dtype).reshape(-1, n).T.copy()
+
+
 def reference_attack_r2(q, b, first_hit=False):
     """(preimages, guesses) of the peel-and-compare scan over all s^N guess
     tuples in packed order, chunked by prefix into blocks of a power of s."""
@@ -197,8 +209,7 @@ def reference_attack_r2(q, b, first_hit=False):
     chunk_size = s ** (n - prefix_len)
     found = []
     guesses = 0
-    for pstart in range(s**prefix_len):
-        prefix = unpack_string(pstart, s, prefix_len)
+    for prefix in itertools.product(range(s), repeat=prefix_len):
         mid = np.array(b, dtype=mul.dtype)[:, None]
         for a in prefix:      # leaders a_0, a_1, ... peel the last steps
             _e_inverse_columns(ldiv, s, a, mid)
@@ -208,8 +219,7 @@ def reference_attack_r2(q, b, first_hit=False):
             mid = np.repeat(mid, s, axis=1)
             guess = np.resize(np.arange(s, dtype=mid.dtype), mid.shape[1])
             _e_inverse_columns(ldiv, s, guess, mid)
-        block = digit_columns(pstart * chunk_size, (pstart + 1) * chunk_size,
-                              s, n, mul.dtype)
+        block = _strings(s, n, mul.dtype, prefix)
         image = family_columns(mul, s, family_steps(s, n, reverses=1), block)
         guesses += chunk_size
         hits = block.T[(image == mid).all(axis=0)][:1 if first_hit else None]
@@ -224,7 +234,7 @@ def reference_preimages(spec, b):
     all of Q^N evaluated in one block."""
     s, n = spec.q.order, spec.n
     mul = flat_table(spec.q)
-    inputs = digit_columns(0, s**n, s, n, mul.dtype)
+    inputs = _strings(s, n, mul.dtype)
     image = family_columns(mul, s, family_steps(s, n, leader_ids(spec)), inputs)
     match = (image == np.array(b, dtype=mul.dtype)[:, None]).all(axis=0)
     return [tuple(col) for col in inputs[:, match].T.tolist()]
@@ -278,3 +288,18 @@ def reference_algebraic_probe(q):
         commutativity_witness=comm_w,
         associativity_witness=assoc_w,
     )
+
+
+def reference_histogram_text(hist):
+    """The histogram record, one f-string per listed entry."""
+    full = hist.domain_size <= 4096
+    lines = [
+        f"domain {hist.domain_size}",
+        f"permutation {'true' if hist.is_permutation else 'false'}",
+        f"regular {'true' if hist.is_regular else 'false'}",
+        f"entries {'all' if full else 'nonzero'}",
+    ]
+    for value, count in enumerate(hist.counts.tolist()):
+        if full or count:
+            lines.append(f"{value} {count}")
+    return "\n".join(lines) + "\n"

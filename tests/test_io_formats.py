@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from qows import (
     FormatError,
     Index,
     OwfSpec,
+    PreimageHistogram,
     decode_image,
     e_transform,
     from_index,
@@ -35,7 +37,7 @@ from qows import io_formats
 from qows.classification import CensusReport, ClassifySettings, PeriodPoint
 
 import data
-from oracles import reference_render
+from oracles import reference_histogram_text, reference_render
 
 T1_TEXT = "4\n2 1 0 3\n3 0 1 2\n1 2 3 0\n0 3 2 1\n"
 
@@ -262,6 +264,34 @@ class TestReportSerialization:
         assert lines[3] == "entries all"
         assert lines[4] == "0 2" and lines[6] == "2 0"
         assert len(lines) == 4 + 16
+
+    @given(st.integers(1, 16), st.integers(1, 4), st.integers(0, 3),
+           st.dictionaries(st.integers(0, 2**24 - 1), st.integers(0, 10**7 - 1),
+                           max_size=20))
+    @example(4, 6, 0, {5: 2, 4095: 1})          # domain 4096: zero counts listed
+    @example(2, 13, 0, {5: 2, 8191: 1})         # domain 8192: nonzero entries only
+    @example(2, 13, 1, {0: 0, 77: 0})           # all but two entries listed
+    @example(16, 4, 0, {0: 5})                  # value 0 nonzero
+    @example(16, 4, 0, {17: 1})                 # a single nonzero entry
+    @example(16, 4, 0, {})                      # all-zero counts, none listed
+    @example(2, 12, 0, {})                      # all-zero counts, all listed
+    @example(16, 4, 0, {3: 7, 40: 42, 999: 10**7 - 1})    # 1, 2, 7 digits
+    @example(2, 24, 0, {0: 1, 2**24 - 1: 3})    # values up to 2^24 - 1
+    @settings(max_examples=60, deadline=None)
+    def test_histogram_text_matches_reference(self, order, n, fill, entries):
+        domain = order**n
+        counts = np.zeros(domain, np.int64)    # untouched pages stay unmapped
+        if fill:
+            counts += fill
+        for value, count in entries.items():
+            counts[value % domain] = count
+        hist = PreimageHistogram(counts=counts, order=order, n=n)
+        got, want = serialize_histogram(hist), reference_histogram_text(hist)
+        # compare line by line: pytest's diff of two texts this long on a
+        # failure takes minutes
+        lines = zip(got.splitlines(True), want.splitlines(True))
+        assert next((pair for pair in lines if pair[0] != pair[1]), None) is None
+        assert len(got) == len(want)
 
     def _tiny_report(self):
         return CensusReport(

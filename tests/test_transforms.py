@@ -297,6 +297,12 @@ class TestFamilyColumns:
     @given(st.integers(1, 300), st.integers(1, 4), st.integers(0, 2**40),
            st.integers(1, 300))
     @example(256, 2, 256**2 - 300, 300)     # the last strings: top symbols 255
+    @example(1, 3, 0, 5)                    # base 1: one string, all zeros
+    @example(4, 3, 7, 40)                   # lo inside a run of every row but the last
+    @example(300, 2, 300 * 17 + 5, 100)     # narrower than the base, uint16
+    @example(300, 3, 300**3 - 1000, 1000)   # order 300, up to the last string
+    @example(5, 4, 123, 1)                  # one column
+    @example(16, 5, 3 * transforms.CHUNK_COLUMNS, transforms.CHUNK_COLUMNS)  # a bulk block
     @settings(max_examples=40, deadline=None)
     def test_enumeration_and_packing(self, order, n, lo, width):
         total = order**n
@@ -304,6 +310,7 @@ class TestFamilyColumns:
         hi = min(total, lo + width)
         cols = digit_columns(lo, hi, order, n, symbol_dtype(order))
         assert cols.dtype == symbol_dtype(order) and cols.shape == (n, hi - lo)
+        assert cols.flags.c_contiguous and cols.flags.writeable
         assert _columns(cols) == [unpack_string(v, order, n) for v in range(lo, hi)]
         assert pack_columns(cols, order).tolist() == list(range(lo, hi))
 
