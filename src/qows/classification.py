@@ -16,6 +16,11 @@ The witness label is constant on isomorphism classes (see census_order4),
 so the census searches exhaustively once per class: the 576 squares fall
 into 35 classes, and only the members of classes with a witness are
 searched again, for their own first witness.
+
+The census keeps one period point per square, the largest final point over
+its leaders, so it stops a square's leaders at the first one that caps: a
+capped point reports the width, an uncapped period is at most half of it,
+and every capped point is the same PeriodPoint(iterations, width, True).
 """
 import itertools
 from dataclasses import dataclass
@@ -386,6 +391,14 @@ def census_order4(settings=None):
     token set. Which witness comes first in leader_strings order is not
     invariant (sigma reorders the constants), so each member of a witnessed
     class is searched for its own.
+
+    A square's period point is the largest final PeriodPoint over its
+    leaders, and its leaders are profiled in order only up to the first
+    whose point is capped. That is exact: a capped point reports the width
+    and an uncapped period is at most width / 2, so no later leader can
+    raise the point, its label or the disagreement check; and as every
+    capped point equals PeriodPoint(iterations, width, True), it does not
+    matter which of several capped leaders supplies it.
     """
     st = settings or ClassifySettings()
     squares = enumerate_order4()
@@ -402,8 +415,12 @@ def census_order4(settings=None):
     witnesses = [found.get(i) for i in range(len(squares))]
     fractal, non_fractal, periods, disagree = [], [], {}, []
     for idx, (q, witness) in enumerate(zip(squares, witnesses), 1):
-        point = max((_unit_profile(q.table, l, unit, st.width, st.iterations)[-1]
-                     for l in leaders), key=lambda p: p.period)
+        finals = []
+        for l in leaders:
+            finals.append(_unit_profile(q.table, l, unit, st.width, st.iterations)[-1])
+            if finals[-1].capped:
+                break
+        point = max(finals, key=lambda p: p.period)
         periods[idx] = point
         (fractal if witness is not None else non_fractal).append(idx)
         if (point.period <= st.threshold) != (witness is not None):

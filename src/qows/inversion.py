@@ -113,14 +113,23 @@ class PreimageHistogram:
     def domain_size(self):
         return self.order**self.n
 
+    def support(self):
+        """(values, is_permutation, is_regular) from one scan of counts:
+        the packed values with a preimage, and both flags from the least
+        and largest of their counts."""
+        values = np.flatnonzero(self.counts)
+        hit = self.counts[values]
+        regular = len(hit) > 0 and hit.min() == hit.max()
+        permutation = regular and len(hit) == len(self.counts) and hit[0] == 1
+        return values, bool(permutation), bool(regular)
+
     @property
     def is_permutation(self):
-        return bool((self.counts == 1).all())
+        return self.support()[1]
 
     @property
     def is_regular(self):
-        nz = self.counts[self.counts > 0]
-        return bool(nz.size > 0 and (nz == nz[0]).all())
+        return self.support()[2]
 
     def count_of(self, value):
         return int(self.counts[value])
@@ -222,7 +231,7 @@ def preimage_histogram(spec, budget=None):
     for lo in range(0, total, chunk):
         inputs = digit_columns(lo, min(total, lo + chunk), s, n, mul.dtype)
         image = family_columns(mul, s, steps, inputs)
-        counts += np.bincount(pack_columns(image, s), minlength=total)
+        np.add.at(counts, pack_columns(image, s), 1)
     return PreimageHistogram(counts=counts, order=s, n=n)
 
 

@@ -242,15 +242,17 @@ def serialize_histogram(hist):
     boolean mask drops the leading zeros, and the rest decodes at once.
     """
     full = hist.domain_size <= 4096
+    values, permutation, regular = hist.support()
     lines = [
         f"domain {hist.domain_size}",
-        f"permutation {'true' if hist.is_permutation else 'false'}",
-        f"regular {'true' if hist.is_regular else 'false'}",
+        f"permutation {'true' if permutation else 'false'}",
+        f"regular {'true' if regular else 'false'}",
         f"entries {'all' if full else 'nonzero'}",
     ]
     head = "\n".join(lines) + "\n"
     counts = hist.counts
-    values = np.arange(len(counts)) if full else np.flatnonzero(counts)
+    if full:
+        values = np.arange(len(counts))
     if not len(values):
         return head
     value_digits, value_shown = _decimal_rows(values)

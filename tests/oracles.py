@@ -18,9 +18,12 @@ guess tuple and compares the middle row with the tuple's r1 image;
 reference_preimages compares whole images of all of Q^N. Both enumerate
 Q^N with itertools.product, not with the package's digit_columns.
 
-The histogram record writes its "<value> <count>" lines from one matrix
-of digits; reference_histogram_text is the per-entry f-string loop it
-replaced.
+The histogram adds each block's images into the counts in place;
+reference_histogram counts r_n of every input one at a time. Its flags
+come from one scan of the nonzero counts; reference_histogram_flags is
+the pair of whole-array compares they replaced. The histogram record
+writes its "<value> <count>" lines from one matrix of digits;
+reference_histogram_text is the per-entry f-string loop it replaced.
 
 The renderer sweeps anti-diagonals of tiles; reference_render is the
 row-by-row loop it replaced. algebraic_probe compares whole (v, w) slices;
@@ -31,7 +34,7 @@ import itertools
 import numpy as np
 
 from qows import (AlgebraicProfile, FormatError, OwfSpec, PeriodPoint,
-                  leader_strings, minimal_period, palette)
+                  leader_strings, minimal_period, pack_string, palette, r_n)
 from qows import transforms
 from qows.transforms import (e_row, family_columns, family_steps, flat_table,
                              leader_ids, periodic_row, r1, resolve_leaders,
@@ -290,13 +293,30 @@ def reference_algebraic_probe(q):
     )
 
 
+def reference_histogram(spec):
+    """Preimage counts in packed-value order, one r_n call per input."""
+    s, n = spec.q.order, spec.n
+    counts = np.zeros(s**n, dtype=np.int64)
+    for a in itertools.product(range(s), repeat=n):
+        counts[pack_string(r_n(spec, a), s)] += 1
+    return counts
+
+
+def reference_histogram_flags(counts):
+    """(is_permutation, is_regular): every count is 1; the nonzero counts
+    exist and are all equal."""
+    nz = counts[counts > 0]
+    return bool((counts == 1).all()), bool(nz.size > 0 and (nz == nz[0]).all())
+
+
 def reference_histogram_text(hist):
     """The histogram record, one f-string per listed entry."""
     full = hist.domain_size <= 4096
+    permutation, regular = reference_histogram_flags(hist.counts)
     lines = [
         f"domain {hist.domain_size}",
-        f"permutation {'true' if hist.is_permutation else 'false'}",
-        f"regular {'true' if hist.is_regular else 'false'}",
+        f"permutation {'true' if permutation else 'false'}",
+        f"regular {'true' if regular else 'false'}",
         f"entries {'all' if full else 'nonzero'}",
     ]
     for value, count in enumerate(hist.counts.tolist()):

@@ -32,6 +32,7 @@ from qows import (
     random_latin,
     serialize_leaders,
 )
+from qows import classification
 from qows.classification import _first_witnesses
 
 import data
@@ -309,6 +310,27 @@ class TestCensus:
                                                 include_indices=include_indices))
         expected = _first_witnesses(enumerate_order4(), n, max_len, include_indices)
         assert report.witnesses == dict(enumerate(expected, 1))
+
+    @pytest.mark.parametrize("settings", [
+        None, ClassifySettings(width=256, iterations=8, leaders=(3, 1))])
+    def test_periods_are_the_max_over_every_leader(self, census_default, settings):
+        st = settings or ClassifySettings()
+        report = census_default[0] if settings is None else census_order4(st)
+        finals = [[period_profile(q, l, st.motif, st.width, st.iterations)[-1]
+                   for l in st.leaders_for(q)] for q in enumerate_order4()]
+        for k, points in enumerate(finals, 1):
+            assert report.periods[k] == max(points, key=lambda p: p.period)
+        # both kinds of square, and the early stop taken and passed over
+        assert {points[0].capped for points in finals} == {False, True}
+        assert {points[-1].capped for points in finals} == {False, True}
+
+    def test_period_stage_stops_at_the_first_capped_leader(self, monkeypatch):
+        calls = []
+        profile = classification._unit_profile
+        monkeypatch.setattr(classification, "_unit_profile",
+                            lambda *args: calls.append(args[1]) or profile(*args))
+        census_order4()
+        assert len(calls) == 1160
 
 
 def relabel(q, sigma):

@@ -18,6 +18,7 @@ from qows import (
     FormatError,
     Index,
     OwfSpec,
+    PreimageHistogram,
     Quasigroup,
     attack_r1,
     attack_r2,
@@ -30,11 +31,14 @@ from qows import (
     r_n,
     random_latin,
     resolve_budget,
+    serialize_histogram,
     unpack_string,
 )
 
 import data
-from oracles import reference_attack_r1, reference_attack_r2, reference_preimages
+from oracles import (reference_attack_r1, reference_attack_r2, reference_histogram,
+                     reference_histogram_flags, reference_histogram_text,
+                     reference_preimages)
 
 
 def r1_preimages_by_enumeration(q, b):
@@ -495,6 +499,49 @@ class TestHistogram:
         assert ((chunked.preimages, chunked.guesses, chunked.lookups)
                 == (whole.preimages, whole.guesses, whole.lookups))
         assert np.array_equal(preimage_histogram(spec).counts, counts)
+
+    @pytest.mark.parametrize("columns", [7, 64])
+    def test_many_blocks_match_the_reference(self, ref_square, monkeypatch, columns):
+        # 4^4 inputs: 37 blocks of 7 with a short last one, or 4 of 64
+        import qows.transforms as tr
+        monkeypatch.setattr(tr, "CHUNK_COLUMNS", columns)
+        for leaders in [(), (Const(3), Const(3), Index(0), Index(1)),
+                        (Const(2), Index(3), Index(0))]:
+            spec = OwfSpec(ref_square, 4, leaders)
+            assert np.array_equal(preimage_histogram(spec).counts,
+                                  reference_histogram(spec))
+
+    @pytest.mark.parametrize("columns", [4096, 256])
+    def test_memory_beyond_the_counts_is_one_block(self, ref_square, monkeypatch, columns):
+        # 4^8 inputs in 16 or 256 blocks: besides the 512 KiB counts, only
+        # per-block arrays, however many blocks there are
+        import tracemalloc
+        import qows.transforms as tr
+        spec = OwfSpec(ref_square, 8, (Const(1), Index(5)))
+        monkeypatch.setattr(tr, "CHUNK_COLUMNS", columns)
+        tracemalloc.start()
+        try:
+            preimage_histogram(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * 4**8 < 64 * columns + 32 * 1024
+
+    @pytest.mark.parametrize("counts, flags", [
+        ([1] * 16, (True, True)),                       # permutation
+        ([0, 2] * 8, (False, True)),                    # regular, not a permutation
+        ([1, 3, 0, 0] * 4, (False, False)),             # irregular
+        ([0] * 4095 + [4096], (False, True)),           # one value, zeros listed
+        ([0] * 4096, (False, False)),                   # no value hit
+    ])
+    def test_flags(self, counts, flags):
+        counts = np.array(counts, dtype=np.int64)
+        hist = PreimageHistogram(counts=counts, order=2, n=len(counts).bit_length() - 1)
+        values, permutation, regular = hist.support()
+        assert (permutation, regular) == (hist.is_permutation, hist.is_regular) == flags
+        assert flags == reference_histogram_flags(counts)
+        assert values.tolist() == np.flatnonzero(counts).tolist()
+        assert serialize_histogram(hist) == reference_histogram_text(hist)
 
     def test_permutation_member(self, ref_square):
         spec = OwfSpec(ref_square, 2, (Const(3), Const(3), Index(1), Index(0)))
