@@ -109,15 +109,20 @@ def e_columns(mul, order, leader, state, offset=None):
     unchecked. leader is a symbol or one per column. mul is flat_table(q)
     (or its transpose, for the step x <- left * x down a column), or
     several tables stacked with offset the start of each column's.
+
+    The index prev * order + row (+ offset) is built in the narrowest
+    unsigned dtype holding len(mul) - 1, uint8 up to order 16. That is
+    exact: a leader or symbol is below order and offset + order^2 <=
+    len(mul), so no index, nor any partial sum, passes len(mul) - 1; the
+    leader and offset casts into that dtype are unsafe only by type.
     """
-    idx = np.empty(state.shape[1], dtype=np.intp)
+    idx = np.empty(state.shape[1], dtype=np.min_scalar_type(len(mul) - 1))
     prev = leader
     for row in state:
-        # index arithmetic in intp: a uint8 row times order would wrap
-        np.multiply(prev, order, out=idx, dtype=np.intp)
+        np.multiply(prev, order, out=idx, dtype=idx.dtype, casting="unsafe")
         idx += row
         if offset is not None:
-            idx += offset
+            np.add(idx, offset, out=idx, dtype=idx.dtype, casting="unsafe")
         np.take(mul, idx, out=row)
         prev = row
     return state

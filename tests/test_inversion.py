@@ -434,6 +434,32 @@ class TestSweep:
         assert got.preimages == (want[:1] if first_hit else want)
         assert got.guesses == _scanned(first_hit, want, order, n, chunk)
 
+    @pytest.mark.parametrize("leaders", [
+        (), (Const(16), Const(0)), (Index(0), Const(5), Index(2))])
+    def test_order_17_public_paths(self, leaders):
+        # order 17 is the first whose table (289 entries) needs a uint16
+        # gather index; every answer is also checked against r_n of all
+        # 17^3 inputs, which does not use the column kernel
+        q = Quasigroup(data.shuffled_cyclic(17, random.Random(17)))
+        n = 3
+        spec = OwfSpec(q, n, leaders)
+        inputs = list(itertools.product(range(17), repeat=n))
+        images = [r_n(spec, a) for a in inputs]
+        b = images[4000]
+        want = [a for a, img in zip(inputs, images) if img == b]
+        agree = sum(img[:j] == b[:j] for img in images for j in range(n))
+        lookups = (len(leaders) + 2 * n) * agree
+        assert reference_preimages(spec, b) == want
+        got = brute_preimages(spec, b)
+        assert (got.preimages, got.guesses, got.lookups) == (want, 17**n, lookups)
+        if not leaders:
+            assert reference_attack_r2(q, b) == (want, 17**n)
+            got2 = attack_r2(q, b)
+            assert (got2.preimages, got2.guesses, got2.lookups) == (want, 17**n, lookups)
+        counts = reference_histogram(spec)
+        assert counts[pack_string(b, 17)] == len(want)
+        assert np.array_equal(preimage_histogram(spec).counts, counts)
+
     def test_output_without_preimage(self, ref_square):
         images = {r2(ref_square, a) for a in itertools.product(range(4), repeat=3)}
         b = min(set(itertools.product(range(4), repeat=3)) - images)

@@ -103,12 +103,30 @@ class TestETransform:
         assert e_inverse(q, l, e_transform(q, l, a)) == a
 
 
+def _columns(arr):
+    return [tuple(col) for col in arr.T.tolist()]
+
+
+def _leader_forms(leaders, dtype):
+    """(leader, per-column leaders) in the four forms e_columns takes: a
+    Python int, a numpy scalar, and one per column in the symbol dtype and
+    in int64 (as family_columns passes index ids)."""
+    count = len(leaders)
+    yield leaders[0], [leaders[0]] * count
+    yield np.int64(leaders[0]), [leaders[0]] * count
+    yield np.array(leaders, dtype=dtype), leaders
+    yield np.array(leaders, dtype=np.int64), leaders
+
+
 class TestVectorizedPair:
     """e_columns against the pure-Python reference, column by column,
-    across the uint8/uint16 boundary."""
+    across the uint8/uint16 symbol boundary and the uint8/uint16/uint32
+    index boundaries."""
 
     @given(st.integers(2, 300), st.randoms(use_true_random=False),
            st.integers(1, 6), st.integers(1, 5))
+    @example(16, random.Random(3), 5, 4)       # 256 entries: a uint8 index
+    @example(17, random.Random(4), 5, 4)       # 289 entries: a uint16 index
     @example(256, random.Random(0), 5, 3)
     @example(257, random.Random(1), 5, 3)
     @example(300, random.Random(2), 4, 5)
@@ -119,16 +137,48 @@ class TestVectorizedPair:
         strings = [tuple(rnd.randrange(order) for _ in range(n)) for _ in range(count)]
         leaders = [rnd.randrange(order) for _ in range(count)]
         state = np.array(strings, dtype=symbol_dtype(order)).T.copy()
-        column_leaders = np.array(leaders, dtype=state.dtype)
+        for leader, per_column in _leader_forms(leaders, state.dtype):
+            assert _columns(e_columns(mul, order, leader, state.copy())) == \
+                [e_transform(q, l, a) for l, a in zip(per_column, strings)]
 
-        def columns(arr):
-            return [tuple(col) for col in arr.T.tolist()]
+    @pytest.mark.parametrize("tables", [2, 257])
+    def test_stacked_tables_match_reference(self, tables):
+        # order-16 tables stacked 2 deep (512 entries, a uint16 index) and
+        # 257 deep (65,792 entries, uint32); the last column reads the last
+        # table's last entry, the largest index
+        rnd = random.Random(tables)
+        order, n, count = 16, 5, 300
+        squares = [Quasigroup(data.shuffled_cyclic(order, rnd)) for _ in range(tables)]
+        mul = np.concatenate([flat_table(q) for q in squares])
+        which = [rnd.randrange(tables) for _ in range(count - 1)] + [tables - 1]
+        offset = np.array(which, dtype=np.intp) * (order * order)
+        strings = [tuple(rnd.randrange(order) for _ in range(n)) for _ in range(count - 1)]
+        strings.append((order - 1,) * n)
+        leaders = [rnd.randrange(order) for _ in range(count - 1)] + [order - 1]
+        state = np.array(strings, dtype=np.uint8).T.copy()
+        for leader, per_column in _leader_forms(leaders, state.dtype):
+            got = e_columns(mul, order, leader, state.copy(), offset)
+            assert _columns(got) == [e_transform(squares[w], l, a)
+                                     for w, l, a in zip(which, per_column, strings)]
 
-        l = leaders[0]
-        assert columns(e_columns(mul, order, l, state.copy())) == \
-            [e_transform(q, l, a) for a in strings]
-        assert columns(e_columns(mul, order, column_leaders, state.copy())) == \
-            [e_transform(q, l, a) for l, a in zip(leaders, strings)]
+    @pytest.mark.parametrize("order, tables, dtype", [
+        (2, 1, np.uint8), (16, 1, np.uint8), (17, 1, np.uint16),
+        (16, 2, np.uint16), (256, 1, np.uint16), (257, 1, np.uint32),
+        (16, 257, np.uint32)])
+    def test_index_dtype_is_the_narrowest(self, monkeypatch, order, tables, dtype):
+        # the gather index holds len(mul) - 1 and no more
+        mul = np.zeros(tables * order * order, dtype=symbol_dtype(order))
+        state = np.zeros((2, 3), dtype=mul.dtype)
+        seen = []
+        take = np.take
+
+        def spy(a, idx, **kw):
+            seen.append(idx.dtype)
+            return take(a, idx, **kw)
+
+        monkeypatch.setattr(np, "take", spy)
+        e_columns(mul, order, 0, state, np.zeros(3, np.intp) if tables > 1 else None)
+        assert seen == [dtype, dtype]
 
     def test_dtype_by_order(self):
         assert symbol_dtype(256) == np.uint8
@@ -238,10 +288,6 @@ class TestIterates:
         finally:
             tracemalloc.stop()
         assert peak <= ITERATES_MEMORY_FACTOR * (height + width) * min(height, width)
-
-
-def _columns(arr):
-    return [tuple(col) for col in arr.T.tolist()]
 
 
 class TestFamilyColumns:
