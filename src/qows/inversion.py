@@ -24,13 +24,21 @@ can kill a branch. Between closing checks, reads that do not depend on
 each other form one wavefront. The attack runs the schedule on many
 branches at once: they are the columns of one array, and each wavefront
 is one take over all of them. A closing check that fails drops its
-columns. Levels are grown depth first in blocks, and guesses and reads
-are charged in the order of the depth-first search the attack defines.
-For every N checked (1 to 120, 150, 200 and 241) the schedule guesses
-ceil(N/3) cells and has no closing check before the last guess. A full
-search then makes exactly s^ceil(N/3) guesses, the paper's s^(N/3)
-meeting point, so one over the budget is refused before its schedule is
-compiled.
+columns.
+
+Only the last level can kill a branch. With g guesses there are exactly
+g closing checks: the N^2 unknown cells of rows 0..N-1 are g guesses and
+N^2 - g assignments, each through a relation of its own, out of N^2
+relations (N in each of rows 1..N). So each guessed cell closes one
+relation, read as a check once its last cell is known. That this check
+comes after the last guess, and that g = ceil(N/3), is verified rather
+than proved: it holds for N = 1 to 320, 400 and 500, and _schedule
+asserts it for every N it compiles. Above the last level the search is
+then a complete s-ary tree. The attack grows it depth first in blocks,
+counts the leaves it reaches, and counts the reads of the levels above
+the last in closed form from that number. A full search makes exactly
+s^ceil(N/3) guesses, the paper's s^(N/3) meeting point, so one over the
+budget is refused before its schedule is compiled.
 
 The double-reverse function has no such meeting point: no cross-check binds
 until a full input tuple has been guessed, which separates the two attack
@@ -83,15 +91,19 @@ def resolve_budget(budget=None):
 class AttackTrace:
     """Result of one inversion attempt.
 
-    guesses counts completed branch explorations: full candidate tuples
-    submitted to a final check, plus branches killed by a contradiction
-    mid-guess; for the exhaustive scans, the tuples scanned. lookups counts
-    table reads (multiplications and divisions), one per element of a
-    vectorized read. The scans count the reads they make. attack_r1 counts
-    those of the depth-first search it defines, which it makes exactly on
-    a full search; when first_hit stops it at a preimage, it has also read
-    the rest of the blocks of branches open there, which lookups leaves
-    out, so that the count does not depend on the block size.
+    guesses counts completed branch explorations: for attack_r1 the leaves
+    of its search tree that it reaches, each a candidate submitted to the
+    final check or a branch killed by a contradiction at the last guess;
+    for the exhaustive scans, the tuples scanned. lookups counts table reads
+    (multiplications and divisions), one per element of a vectorized read.
+    The scans count the reads they make. attack_r1 counts those of the
+    depth-first search it defines, in closed form from the leaves it
+    reached: the output row's reads, those of every branch above the last
+    level that heads one of those leaves, and each leaf's own. It makes
+    exactly those reads on a full search; when first_hit stops it at a
+    preimage, it has also read the rest of the blocks of branches open
+    there, which lookups leaves out, so that the count does not depend on
+    the block size.
     """
 
     preimages: list
@@ -340,6 +352,10 @@ def _schedule(n):
         levels.append((len(inherit), len(at), len(ops), *_steps(ops, at),
                        np.array([at[c] for c in need], dtype=np.intp)))
         need = inherit
+    # the shape attack_r1 counts on (see the module docstring): ceil(n/3)
+    # guess levels, and no closing check before the last, levels[0] here
+    assert len(levels) == 1 + -(-n // 3) and not any(
+        step[0] for level in levels[1:] for step in level[4]), n
     return tuple(levels[::-1]), tuple(need)
 
 
@@ -418,24 +434,35 @@ def _grow(parents, level, s, table):
     return cols[level[-1]], keep, died
 
 
-class _Block:
-    """The branches of one level grown from one block of parents, in DFS
-    order: their running guess and read totals, and the live ones' out rows.
+def _leaf_parents(cols, levels, k, s, table, reach):
+    """Blocks of the branches of the last level but one, in depth-first
+    order, grown from the level-k branches in the columns of cols.
 
-    done branches are counted, and next is the first live branch not yet
-    grown. base is the index of the first parent among the live branches
-    of the block it came from.
+    No level above the last can kill a branch (_schedule asserts it), so
+    every branch is live and a level-j branch heads s^(g - j) leaves, g the
+    last level. A block of level-j parents holds at most CHUNK_COLUMNS //
+    (2 * width * s) of them, width that of level j + 1, so that it and the
+    copy a check that kills some of it makes fit in CHUNK_COLUMNS cells; and
+    at most ceil(reach / s^(g - j)), which together head at least reach
+    leaves, as many as a search that stops within reach leaves gets to.
+    The levels are walked with a stack of block iterators, not by
+    recursion, which would nest ceil(N/3) generator frames.
     """
+    def blocks(cols, j):
+        cap = max(1, min(transforms.CHUNK_COLUMNS // (2 * levels[j + 1][1] * s),
+                         -(-reach // s ** (len(levels) - 1 - j))))
+        return (cols[:, lo:lo + cap] for lo in range(0, cols.shape[1], cap))
 
-    __slots__ = ("level", "cols", "keep", "totals", "done", "next", "base")
-
-    def __init__(self, level, cols, keep, guesses, reads, base):
-        self.level, self.cols, self.keep, self.base = level, cols, keep, base
-        # column i: guesses and reads of the branches before branch i
-        self.totals = np.zeros((2, len(guesses) + 1), dtype=np.int64)
-        np.cumsum(guesses, out=self.totals[0, 1:])
-        np.cumsum(reads, out=self.totals[1, 1:])
-        self.done = self.next = 0
+    stack = [blocks(cols, k)]
+    while stack:
+        block = next(stack[-1], None)
+        j = k + len(stack) - 1
+        if block is None:
+            stack.pop()
+        elif j + 2 == len(levels):
+            yield block
+        else:
+            stack.append(blocks(_grow(block, levels[j + 1], s, table)[0], j + 1))
 
 
 def attack_r1(q, b, budget=None, first_hit=False):
@@ -445,19 +472,22 @@ def attack_r1(q, b, budget=None, first_hit=False):
     cells are then guessed in ascending position order, each guess propagated
     to a fixpoint, until the whole input row is forced. Complete candidates
     are verified by forward evaluation, so every returned preimage is exact.
-    The search is depth first; guesses and lookups are those it makes, in
-    its order, and each guess is charged against the budget. A full search
-    makes exactly s^ceil(N/3) guesses, so one over the budget is refused
-    before the schedule is compiled; under first_hit the search may stop
-    early, so it is charged guess by guess only.
+
+    The search is depth first, and its counters are those of the depth-first
+    search: one guess per leaf it reaches, and the reads of every branch it
+    reaches. Only the last of the g = ceil(N/3) guess levels can kill a
+    branch, so above it the search tree is complete and the counters take a
+    closed form in the number of leaves reached (see the module docstring).
+    A full search reaches all s^g leaves, so one over the budget is refused
+    before the schedule is compiled; under first_hit the search stops at the
+    first preimage, and raises once the leaves it counted pass the budget.
 
     The propagation follows a schedule compiled once per output length
-    (_schedule). Branches are grown a block at a time, as the columns of an
-    array of cells in symbol_dtype; a block grows each of its parents by
-    every guess at the next level, and it never holds more parents than the
-    budget lets the search reach. A full search reads exactly what lookups
-    counts. When first_hit stops the search at a preimage, the rest of the
-    blocks open there has been read as well, beyond lookups.
+    (_schedule). Branches are grown a block at a time (_leaf_parents), as
+    the columns of an array of cells in symbol_dtype. A full search reads
+    exactly what lookups counts. When first_hit stops the search at a
+    preimage, the rest of the blocks open there has been read as well,
+    beyond lookups.
 
     Returns an AttackTrace; an empty preimage list is a valid outcome.
     """
@@ -471,8 +501,8 @@ def attack_r1(q, b, budget=None, first_hit=False):
     # a full search makes exactly s^ceil(n/3) guesses; refuse one over the
     # budget before compiling its schedule (an exponent of the limit's bit
     # length or more is over it without computing the power)
-    full = -(-n // 3)
-    if not first_hit and (s > 1 and full >= limit.bit_length() or s**full > limit):
+    g = -(-n // 3)
+    if not first_hit and (s > 1 and g >= limit.bit_length() or s**g > limit):
         raise BudgetExceeded(f"guess count exceeds budget {limit}")
     levels, seeds = _schedule(n)
     table = _r1_table(q)
@@ -481,70 +511,30 @@ def attack_r1(q, b, budget=None, first_hit=False):
     root[:inherit, 0] = [b[c - n * n] for c in seeds]
     root, keep, _ = _propagate(root, levels[0], s, table)
     assert keep.size, "output row alone cannot contradict"
-    root = root[out]
-    lookups, guesses = reads, 0
-    found = []
-    # fewest guesses the search makes under a live branch of each level:
-    # its children are guesses if their level can kill, else each makes
-    # at least as many as one branch of theirs
-    least = [1]
-    for level in reversed(levels[1:]):
-        least.append(s * (1 if any(step[0] for step in level[4]) else least[-1]))
-    least.reverse()
-
-    def commit(block, upto):
-        """Count the branches of block before index upto as searched."""
-        nonlocal guesses, lookups
-        more, reads = (block.totals[:, upto] - block.totals[:, block.done]).tolist()
-        guesses, lookups, block.done = guesses + more, lookups + reads, upto
-        if guesses > limit:
-            raise BudgetExceeded(f"guess count exceeds budget {limit}")
-
-    stack = [_Block(0, root, keep, [0], [0], 0)]
-    while stack:
-        block = stack[-1]
-        if block.next == block.keep.size:
-            commit(block, block.totals.shape[1] - 1)
-            stack.pop()
-            continue
-        level = levels[block.level + 1]
-        lo = block.next
-        # the DFS is done with the branches before the first parent, and
-        # would exceed the budget before it reached a parent past the cap
-        # the rest of the budget sets; a block, and the copy a check that
-        # kills some of it makes, hold at most CHUNK_COLUMNS cells
-        commit(block, block.keep[lo])
-        cap = min(transforms.CHUNK_COLUMNS // (2 * level[1] * s),
-                  (limit - guesses) // least[block.level] + 1)
-        block.next = hi = min(block.keep.size, lo + max(1, cap))
-        cols, keep, died = _grow(block.cols[:, lo:hi], level, s, table)
-        dead, reads = died >= 0, level[2]
-        if block.level + 2 < len(levels):
-            stack.append(_Block(block.level + 1, cols, keep, dead,
-                                np.where(dead, died, reads), lo))
-            continue
-        # a complete candidate is a guess, verified through r1 at n * n reads
-        leaves = _Block(block.level + 1, None, keep, np.ones_like(died),
-                        np.where(dead, died, reads + n * n), lo)
+    found, leaves, leaf_reads = [], 0, 0
+    for parents in _leaf_parents(root[out], levels, 0, s, table, limit + 1):
+        cols, keep, died = _grow(parents, levels[-1], s, table)
+        stop = died.size
         for i, cand in zip(keep.tolist(), map(tuple, cols.T.tolist())):
-            if _r1_eval(q, cand) != b:
-                continue
-            found.append(cand)
-            if first_hit:
-                # the DFS stops here: at each level, count the branches up
-                # to and including this leaf's ancestor
-                commit(leaves, i + 1)
-                child = leaves
-                for up in reversed(stack):
-                    i = up.keep[child.base + i // s]
-                    commit(up, i + 1)
-                    child = up
-                stack.clear()
-                break
-        else:
-            commit(leaves, leaves.totals.shape[1] - 1)
+            if _r1_eval(q, cand) == b:
+                found.append(cand)
+                if first_hit:
+                    stop = i + 1
+                    break
+        # a leaf killed by a check made died reads; a candidate made the
+        # level's reads and n * n more to be verified through r1
+        leaf_reads += int(np.where(died < 0, levels[-1][2] + n * n, died)[:stop].sum())
+        leaves += stop
+        if leaves > limit:
+            raise BudgetExceeded(f"guess count exceeds budget {limit}")
+        if first_hit and found:
+            break
+    # a level-k branch heads s^(g - k) leaves, so the leaves counted lie
+    # under the first ceil(leaves / s^(g - k)) level-k branches
+    lookups = reads + leaf_reads + sum(-(-leaves // s ** (g - k)) * levels[k][2]
+                                       for k in range(1, g))
     found.sort()
-    return AttackTrace(preimages=found, guesses=guesses, lookups=lookups,
+    return AttackTrace(preimages=found, guesses=leaves, lookups=lookups,
                        elapsed=time.perf_counter() - t0, warnings=notes)
 
 

@@ -16,7 +16,10 @@ a tuple at the first output column it misses. reference_attack_r2 is the
 scan it replaced, which peels the last N steps off the output for every
 guess tuple and compares the middle row with the tuple's r1 image;
 reference_preimages compares whole images of all of Q^N. Both enumerate
-Q^N with itertools.product, not with the package's digit_columns.
+Q^N with itertools.product, not with the package's digit_columns, and
+step images by 2-D gathers into the table, reading the Const and Index
+leaders themselves, not through the package's family_columns and its
+token ids.
 
 The histogram adds each block's images into the counts in place;
 reference_histogram counts r_n of every input one at a time. Its flags
@@ -33,11 +36,11 @@ import itertools
 
 import numpy as np
 
-from qows import (AlgebraicProfile, FormatError, OwfSpec, PeriodPoint,
-                  leader_strings, minimal_period, pack_string, palette, r_n)
+from qows import (AlgebraicProfile, Const, FormatError, Index, OwfSpec,
+                  PeriodPoint, leader_strings, minimal_period, pack_string,
+                  palette, r_n)
 from qows import transforms
-from qows.transforms import (e_row, family_columns, family_steps, flat_table,
-                             leader_ids, periodic_row, r1, resolve_leaders,
+from qows.transforms import (e_row, periodic_row, r1, resolve_leaders,
                              symbol_dtype)
 
 
@@ -196,14 +199,31 @@ def _strings(order, n, dtype, prefix=()):
     return np.array([prefix + t for t in tails], dtype=dtype).reshape(-1, n).T.copy()
 
 
+def _images(q, leaders, strings, reverses):
+    """The image of each column of strings (n, count) under the family
+    member with the given Const and Index leaders, followed by the reversed
+    string reverses times: one 2-D gather into the table per column and
+    step, not the package's flat-table kernel."""
+    table = np.array(q.table)
+    n = len(strings)
+    row = strings
+    for t in tuple(leaders) + tuple(map(Index, range(n - 1, -1, -1))) * reverses:
+        x = t.value if isinstance(t, Const) else strings[t.j]
+        out = np.empty_like(row)
+        for j in range(n):
+            x = out[j] = table[x, row[j]]
+        row = out
+    return row
+
+
 def reference_attack_r2(q, b, first_hit=False):
     """(preimages, guesses) of the peel-and-compare scan over all s^N guess
     tuples in packed order, chunked by prefix into blocks of a power of s."""
     b = tuple(b)
     n = len(b)
     s = q.order
-    mul = flat_table(q)
-    ldiv = np.array(q._ldiv, dtype=symbol_dtype(s)).ravel()
+    dtype = symbol_dtype(s)
+    ldiv = np.array(q._ldiv, dtype=dtype).ravel()
 
     # prefix chunking keeps peak memory at chunk * n cells
     prefix_len = 0
@@ -213,7 +233,7 @@ def reference_attack_r2(q, b, first_hit=False):
     found = []
     guesses = 0
     for prefix in itertools.product(range(s), repeat=prefix_len):
-        mid = np.array(b, dtype=mul.dtype)[:, None]
+        mid = np.array(b, dtype=dtype)[:, None]
         for a in prefix:      # leaders a_0, a_1, ... peel the last steps
             _e_inverse_columns(ldiv, s, a, mid)
         for d in range(prefix_len, n):
@@ -222,8 +242,8 @@ def reference_attack_r2(q, b, first_hit=False):
             mid = np.repeat(mid, s, axis=1)
             guess = np.resize(np.arange(s, dtype=mid.dtype), mid.shape[1])
             _e_inverse_columns(ldiv, s, guess, mid)
-        block = _strings(s, n, mul.dtype, prefix)
-        image = family_columns(mul, s, family_steps(s, n, reverses=1), block)
+        block = _strings(s, n, dtype, prefix)
+        image = _images(q, (), block, reverses=1)
         guesses += chunk_size
         hits = block.T[(image == mid).all(axis=0)][:1 if first_hit else None]
         found += map(tuple, hits.tolist())
@@ -236,10 +256,9 @@ def reference_preimages(spec, b):
     """Every preimage of b under spec, in packed order, from the images of
     all of Q^N evaluated in one block."""
     s, n = spec.q.order, spec.n
-    mul = flat_table(spec.q)
-    inputs = _strings(s, n, mul.dtype)
-    image = family_columns(mul, s, family_steps(s, n, leader_ids(spec)), inputs)
-    match = (image == np.array(b, dtype=mul.dtype)[:, None]).all(axis=0)
+    inputs = _strings(s, n, symbol_dtype(s))
+    image = _images(spec.q, spec.leaders, inputs, reverses=2)
+    match = (image == np.array(b)[:, None]).all(axis=0)
     return [tuple(col) for col in inputs[:, match].T.tolist()]
 
 

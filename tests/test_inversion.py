@@ -211,9 +211,10 @@ class TestAttackR1Grid:
     reference, counters included."""
 
     @given(st.integers(2, 16), st.integers(0, 10**6), st.booleans(),
-           st.booleans(), st.data())
+           st.booleans(), st.sampled_from([1, 7, 64, None]), st.data())
     @settings(max_examples=80, deadline=None)
-    def test_matches_reference(self, order, seed, planted, first_hit, payload):
+    def test_matches_reference(self, order, seed, planted, first_hit, chunk, payload):
+        import qows.transforms as tr
         q = random_latin(order, seed)
         # keeps s^(N/3), the attack's typical cost, at most 64
         n = payload.draw(st.integers(1, min(10, int(18 / math.log2(order)))))
@@ -221,11 +222,21 @@ class TestAttackR1Grid:
                                            min_size=n, max_size=n)))
         # an arbitrary target is contradiction-heavy and often has no preimage
         b = r1(q, word) if planted else word
-        result = _attack_r1_result(q, b, first_hit)
-        assert result == reference_attack_r1(q, b, first_hit)
+        # small blocks put a first_hit preimage past the first block of
+        # parents at each level
+        with mock.patch("qows.transforms.CHUNK_COLUMNS", chunk or tr.CHUNK_COLUMNS):
+            result = _attack_r1_result(q, b, first_hit)
+            assert result == reference_attack_r1(q, b, first_hit)
+            guesses = result[1]
+            if first_hit:
+                # the leaves counted up to the hit are exactly what the
+                # budget must cover
+                assert attack_r1(q, b, guesses, first_hit=True).guesses == guesses
+                with pytest.raises(BudgetExceeded):
+                    attack_r1(q, b, guesses - 1, first_hit=True)
         # the count attack_r1 refuses an over-budget full search by
         if not first_hit:
-            assert result[1] == order ** -(-n // 3)
+            assert guesses == order ** -(-n // 3)
 
     def test_benchmark_squares_match_reference(self, benchmark_squares):
         rng = random.Random(9)
