@@ -140,7 +140,8 @@ def render_iterations(q, leader, motif, width, iterations, text=False):
     vectorized step per anti-diagonal of tiles, and the
     width * (iterations + 1) cells are charged against the budget
     (QOWS_BUDGET or the default) before anything is allocated. Binary P6
-    by default, one palette lookup for the whole body; text P3 with
+    by default, one palette lookup for the whole body, written behind the
+    header in the one buffer that becomes the bytes; text P3 with
     text=True. Output is byte-identical for identical inputs.
     """
     q._check(leader)
@@ -155,8 +156,13 @@ def render_iterations(q, leader, motif, width, iterations, text=False):
         rgb = [" ".join(map(str, c)) for c in pal]
         lines = [" ".join(map(rgb.__getitem__, r)) for r in grid.tolist()]
         return (header + "\n".join(lines) + "\n").encode("ascii")
-    body = np.array(pal, dtype=np.uint8).take(grid, axis=0)
-    return header.encode("ascii") + body.tobytes()
+    head = header.encode("ascii")
+    out = np.empty(len(head) + grid.size * 3, np.uint8)
+    out[:len(head)] = np.frombuffer(head, np.uint8)
+    # the grid's symbols index the palette; mode "raise" would buffer out
+    np.array(pal, dtype=np.uint8).take(
+        grid, axis=0, out=out[len(head):].reshape(grid.shape + (3,)), mode="clip")
+    return out.tobytes()
 
 
 def _pixmap_size(fields):

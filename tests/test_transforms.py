@@ -35,6 +35,7 @@ from qows.transforms import (
     digit_columns,
     e_columns,
     e_iterates,
+    e_row,
     family_columns,
     family_steps,
     flat_table,
@@ -162,11 +163,12 @@ class TestVectorizedPair:
                                      for w, l, a in zip(which, per_column, strings)]
 
     @pytest.mark.parametrize("order, tables, dtype", [
-        (2, 1, np.uint8), (16, 1, np.uint8), (17, 1, np.uint16),
+        (2, 1, np.uint8), (16, 1, np.uint8), (8, 4, np.uint8), (17, 1, np.uint16),
         (16, 2, np.uint16), (256, 1, np.uint16), (257, 1, np.uint32),
         (16, 257, np.uint32)])
     def test_index_dtype_is_the_narrowest(self, monkeypatch, order, tables, dtype):
-        # the gather index holds len(mul) - 1 and no more
+        # the gather index holds len(mul) - 1 and no more; a uint8 index
+        # (at most 256 entries) gathers through the byte table, never np.take
         mul = np.zeros(tables * order * order, dtype=symbol_dtype(order))
         state = np.zeros((2, 3), dtype=mul.dtype)
         seen = []
@@ -178,7 +180,51 @@ class TestVectorizedPair:
 
         monkeypatch.setattr(np, "take", spy)
         e_columns(mul, order, 0, state, np.zeros(3, np.intp) if tables > 1 else None)
-        assert seen == [dtype, dtype]
+        assert seen == ([] if dtype == np.uint8 else [dtype, dtype])
+
+    @given(st.sampled_from([(1, 1), (2, 1), (15, 1), (16, 1), (17, 1), (8, 4), (8, 5)]),
+           st.sampled_from([0, 1, 3000]), st.integers(1, 4), st.booleans(),
+           st.randoms(use_true_random=False))
+    @example((16, 1), 3000, 4, True, random.Random(0))   # 256 entries: the byte table
+    @example((8, 4), 3000, 3, True, random.Random(1))    # 256 entries, stacked
+    @example((8, 5), 3000, 3, False, random.Random(2))   # 320 entries: np.take
+    @settings(max_examples=30, deadline=None)
+    def test_byte_table_boundary(self, case, width, n, per_column, rnd):
+        # either side of 256 entries, single tables and order-8 stacks read
+        # through per-column offsets, against e_row column by column
+        order, tables = case
+        tabs = [data.shuffled_cyclic(order, rnd) for _ in range(tables)]
+        mul = np.concatenate([np.array(t, np.uint8).ravel() for t in tabs])
+        gen = np.random.default_rng(rnd.getrandbits(32))
+        which = gen.integers(0, tables, width)
+        offset = which * (order * order) if tables > 1 else None
+        state = gen.integers(0, order, (n, width)).astype(np.uint8)
+        if per_column:
+            leader = gen.integers(0, order, width).astype(np.uint8)
+            leaders = leader.tolist()
+        else:
+            leader = rnd.randrange(order)
+            leaders = [leader] * width
+        got = e_columns(mul, order, leader, state.copy(), offset)
+        assert _columns(got) == [tuple(e_row(tabs[w], l, a))
+                                 for w, l, a in zip(which.tolist(), leaders, _columns(state))]
+
+    @pytest.mark.parametrize("order, tables", [(4, 1), (15, 1), (8, 3), (17, 1), (8, 5)])
+    def test_index_past_the_table_raises(self, order, tables):
+        # the byte table (up to 256 entries) raises IndexError as np.take
+        # does: a symbol >= order under the last table, and an offset past
+        # the stack, each index one or more entries past len(mul)
+        mul = np.concatenate([flat_table(random_latin(order, t)) for t in range(tables)])
+        last = (tables - 1) * order * order
+        offset = np.array([0, last]) if tables > 1 else None
+        state = np.zeros((2, 2), dtype=symbol_dtype(order))
+        state[0, 1] = order
+        with pytest.raises(IndexError):
+            e_columns(mul, order, order - 1, state, offset)
+        if tables > 1:
+            with pytest.raises(IndexError):
+                e_columns(mul, order, 0, np.zeros((2, 2), state.dtype),
+                          np.array([0, len(mul)]))
 
     def test_dtype_by_order(self):
         assert symbol_dtype(256) == np.uint8
