@@ -31,8 +31,13 @@ reference_histogram_text is the per-entry f-string loop it replaced.
 The renderer sweeps anti-diagonals of tiles; reference_render is the
 row-by-row loop it replaced. algebraic_probe compares whole (v, w) slices;
 reference_algebraic_probe is the scalar scan it replaced.
+
+random_latin places each row by augmenting paths over bitmasks;
+reference_random_latin takes the first of itertools.permutations of the
+row's shuffled symbol order that fits under the rows above.
 """
 import itertools
+import random
 
 import numpy as np
 
@@ -342,3 +347,18 @@ def reference_histogram_text(hist):
         if full or count:
             lines.append(f"{value} {count}")
     return "\n".join(lines) + "\n"
+
+
+def reference_random_latin(s, seed):
+    """The rows of random_latin(s, seed): for each row, in a freshly
+    shuffled symbol order, the first permutation of that order in which
+    every symbol is new to its column."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(s):
+        order = list(range(s))
+        rng.shuffle(order)
+        used = [{r[j] for r in rows} for j in range(s)]
+        rows.append(next(p for p in itertools.permutations(order)
+                         if not any(v in used[j] for j, v in enumerate(p))))
+    return tuple(rows)

@@ -222,6 +222,12 @@ class TestRenderAndGen:
         _, b, _ = run_cli(capsys, "gen", "--order", "4", "--seed", "1")
         assert a != b
 
+    def test_gen_wide_order_within_default_budget(self, capsys, monkeypatch):
+        monkeypatch.delenv("QOWS_BUDGET", raising=False)
+        code, out, err = run_cli(capsys, "gen", "--order", "64", "--seed", "0")
+        assert (code, err) == (0, "")
+        assert parse_quasigroup(out).order == 64
+
     def test_missing_file_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "transform", "--quasigroup",
                                "/nonexistent/q.qg", "--fn", "r1",
@@ -315,7 +321,7 @@ def test_census_output_is_pinned(argv, digest, census_reports, tmp_path, monkeyp
     ["invert", "--index", "5", "--method", "attack-r1", "--output", "{long}"],
     ["classify", "--index", "47", "--width", "400000000000"],
     ["render", "--index", "5", "--width", "4" * 3000, "--iterations", "4" * 3000],
-    ["QOWS_BUDGET=100000", "gen", "--order", "40"],
+    ["QOWS_BUDGET=3000", "gen", "--order", "40"],
     ["invert", "--index", "5", "--method", "attack-r1", "--output", "01", "--budget", "-1"],
     ["QOWS_BUDGET=-5", "invert", "--index", "5", "--method", "brute", "--output", "01"],
     ["gen", "--order", "100000"],

@@ -24,7 +24,7 @@ from qows import (
     validate,
 )
 from qows import core
-from oracles import reference_algebraic_probe
+from oracles import reference_algebraic_probe, reference_random_latin
 
 import data
 from data import REFERENCE_SQUARE, TABLE_AT_1, TABLE_AT_5, TABLE_AT_6, TABLE_AT_46, TABLE_AT_47
@@ -165,9 +165,9 @@ class TestAlgebraicProbe:
     @given(st.integers(2, 40), st.randoms(use_true_random=False), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_matches_reference(self, order, rnd, cyclic):
-        # shuffled cyclic squares are isotopes of Z_s; random_latin is
-        # slow above order ~28
-        if cyclic or order > 12:
+        # shuffled cyclic squares are all isotopes of Z_s; random_latin
+        # squares are not
+        if cyclic:
             q = Quasigroup(data.shuffled_cyclic(order, rnd))
         else:
             q = random_latin(order, rnd.randrange(10_000))
@@ -227,14 +227,33 @@ class TestRandomLatin:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_charges_placed_symbols(self, monkeypatch):
-        monkeypatch.setenv("QOWS_BUDGET", "100000")
+        # order 40 seed 0 charges about 5000 units: above its 1600 cells,
+        # so the refusal comes from inside the row search
+        monkeypatch.setenv("QOWS_BUDGET", "3000")
         with pytest.raises(BudgetExceeded,
-                           match="order-40 square: placed symbols exceed budget 100000"):
+                           match="order-40 square: placed symbols exceed budget 3000"):
             random_latin(40, 0)
-        # an order-s square places at least s^2 symbols
+        # an order-s square tests at least s^2 candidates
         monkeypatch.setenv("QOWS_BUDGET", "63")
         with pytest.raises(BudgetExceeded):
             random_latin(8, 1)
+
+    @given(st.integers(1, 7), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_first_fitting_permutation(self, order, seed):
+        assert random_latin(order, seed).table == reference_random_latin(order, seed)
+
+    @pytest.mark.parametrize("order", range(8, 21))
+    def test_matches_depth_first_search(self, order):
+        # the first row of the depth-first search is what each row of
+        # random_latin must be, at orders too wide for the permutations
+        for seed in range(3):
+            rng, rows = random.Random(seed), []
+            for _ in range(order):
+                symbols = list(range(order))
+                rng.shuffle(symbols)
+                rows.append(next(core._rows_extending(rows, symbols)))
+            assert random_latin(order, seed).table == tuple(rows)
 
     def test_order4_enumeration_is_not_charged(self, monkeypatch):
         monkeypatch.setenv("QOWS_BUDGET", "1")
