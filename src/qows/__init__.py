@@ -1,6 +1,7 @@
 """Quasigroup string transformations, candidate one-way functions built on
 them, lookup-table inversion attacks, and the order-4 fractal census.
 """
+from .budget import resolve_budget
 from .classification import (
     PUBLISHED_FRACTAL,
     PUBLISHED_FRACTAL_COUNT,
@@ -49,7 +50,6 @@ from .inversion import (
     attack_r2,
     brute_preimages,
     preimage_histogram,
-    resolve_budget,
 )
 from .io_formats import (
     decode_image,

@@ -28,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transforms
+from .budget import charge, over_by_exponent, refuse, resolve_budget
 from .core import enumerate_order4
-from .errors import (BudgetExceeded, EmptyString, FormatError, LengthMismatch,
-                     OrderNotSupported)
-from .inversion import charge_budget, resolve_budget
+from .errors import EmptyString, FormatError, LengthMismatch, OrderNotSupported
 from .transforms import Const, Index, digit_columns, e_row, family_columns, family_steps
 from .transforms import check_periodic, flat_table, pack_columns, symbol_dtype
 # Unused here; perfbench/tracing.py rebinds these names to count calls.
@@ -91,17 +90,13 @@ def _check_search(order, n, max_len, include_indices, budget):
     if max_len < 0:
         raise FormatError(f"max leader length must be non-negative, got {max_len}")
     limit = resolve_budget(budget)
-    over = BudgetExceeded(f"{order}^{n} inputs times the leader strings up to "
-                          f"length {max_len} exceeds budget {limit}")
-    ntok = len(_tokens(order, n, include_indices))
-    # s^n >= 2^n and ntok^max_len >= 2^max_len: spare computing huge powers
-    if (order > 1 and n >= limit.bit_length()
-            or ntok > 1 and max_len >= limit.bit_length()):
-        raise over
+    what = f"{order}^{n} inputs times the leader strings up to length {max_len}"
+    ntok = order + (n if include_indices else 0)    # len(_tokens(...)), not built
+    if over_by_exponent(order, n, limit) or over_by_exponent(ntok, max_len, limit):
+        refuse(what, limit)
     strings = (max_len + 1 if ntok == 1
                else (ntok**(max_len + 1) - 1) // (ntok - 1))
-    if order**n * strings > limit:
-        raise over
+    charge(order**n * strings, limit, what)
 
 
 def _bijective(mul, s, n, squares, ids):
@@ -257,7 +252,7 @@ def _start_unit(q, motif, width, iterations):
     most symbols one profile steps, against the budget."""
     motif = list(motif)
     check_periodic(q, motif, width)
-    charge_budget(width * iterations, None, f"width {width} times {iterations} iterations")
+    charge(width * iterations, resolve_budget(), f"width {width} times {iterations} iterations")
     return motif[:minimal_period(motif * 2)]
 
 

@@ -10,7 +10,7 @@ import functools
 import sys
 import warnings
 
-from . import classification, core, inversion, io_formats, transforms
+from . import budget, classification, core, inversion, io_formats, transforms
 from .errors import FormatError, QowsError
 
 
@@ -112,7 +112,7 @@ def _cmd_invert(args, parser):
     header = [("quasigroup", args.quasigroup or f"#{args.index}"),
               ("method", args.method), ("n", len(b)),
               ("output", io_formats.serialize_string(b, q.order)),
-              ("budget", inversion.resolve_budget(args.budget))]
+              ("budget", budget.resolve_budget(args.budget))]
     if args.method == "brute":
         leaders = io_formats.parse_leaders(args.leaders or "")
         spec = transforms.OwfSpec(q, len(b), leaders)
@@ -141,7 +141,7 @@ def _cmd_histogram(args, parser):
         ("quasigroup", args.quasigroup or f"#{args.index}"),
         ("n", args.n),
         ("leaders", io_formats.serialize_leaders(leaders)),
-        ("budget", inversion.resolve_budget(args.budget))])
+        ("budget", budget.resolve_budget(args.budget))])
     text += io_formats.serialize_histogram(hist)
     _emit(args, text)
     return 0

@@ -11,8 +11,8 @@ from random import Random
 
 import numpy as np
 
+from .budget import charge, resolve_budget
 from .errors import (
-    BudgetExceeded,
     ColNotPermutation,
     EntryOutOfRange,
     NotSquare,
@@ -20,7 +20,6 @@ from .errors import (
     RowNotPermutation,
     SymbolOutOfRange,
 )
-from .inversion import resolve_budget
 
 
 class Quasigroup:
@@ -171,7 +170,7 @@ def _rows_extending(rect, order):
             options.append(iter(order))
 
 
-def _first_extension(lacks, holders, order, charge):
+def _first_extension(lacks, holders, order, spend):
     """Return the row that next(_rows_extending(rect, order)) would, in
     polynomial time.
 
@@ -184,7 +183,7 @@ def _first_extension(lacks, holders, order, charge):
     column's partner u, or v's partner column reaches u by an alternating
     path. One search backwards from u, grown only as far as the candidates
     need, answers them all, and shifting the partners along the path it
-    finds keeps the matching perfect. charge(n) is called with the work
+    finds keeps the matching perfect. spend(n) is called with the work
     done: a unit per candidate tested and per symbol a search visits.
     """
     s = len(order)
@@ -204,7 +203,7 @@ def _first_extension(lacks, holders, order, charge):
                 seen |= new
                 pending |= new
                 options = new & unmatched
-            charge(len(trail) - 1)
+            spend(len(trail) - 1)
             i = len(trail) - 1
         w = (options & -options).bit_length() - 1
         unmatched ^= 1 << w
@@ -246,7 +245,7 @@ def _first_extension(lacks, holders, order, charge):
                     w = trail[i][0]
                     partner[c], owner[w], c = w, c, owner[w]
                 break
-        charge(work + len(trail))
+        spend(work + len(trail))
         row.append(v)
         left.remove(v)
     return tuple(row)
@@ -310,15 +309,14 @@ def random_latin(s, seed):
         raise OrderNotSupported("order must be at least 1")
     rng = Random(seed)
     limit, spent = resolve_budget(), 0
-    over = f"order-{s} square: placed symbols exceed budget {limit}"
-    if s * s > limit:       # a square tests at least s^2 candidates; refuse before the row scans
-        raise BudgetExceeded(over)
+    what = f"order-{s} square: placed symbols"
+    # a square tests at least s^2 candidates; refuse before the row scans
+    charge(s * s, limit, what, "exceed")
 
-    def charge(work):
+    def spend(work):
         nonlocal spent
         spent += work
-        if spent > limit:
-            raise BudgetExceeded(over)
+        charge(spent, limit, what, "exceed")
 
     full = (1 << s) - 1
     lacks, holders = [full] * s, [full] * s
@@ -326,7 +324,7 @@ def random_latin(s, seed):
     for _ in range(s):
         order = list(range(s))
         rng.shuffle(order)
-        row = _first_extension(lacks, holders, order, charge)
+        row = _first_extension(lacks, holders, order, spend)
         for j, v in enumerate(row):
             lacks[j] ^= 1 << v
             holders[v] ^= 1 << j

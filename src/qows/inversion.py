@@ -50,41 +50,23 @@ About 1/s of them survive each column, so a tuple costs about
 L * s / (s - 1) table reads rather than L * N.
 """
 import functools
-import os
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import transforms
-from .errors import BudgetExceeded, FormatError, LengthMismatch
+from . import core, transforms
+from .budget import charge, charge_power, over_by_exponent, refuse, resolve_budget
+from .errors import LengthMismatch
 from .transforms import check_string, digit_columns, family_columns, family_steps
 from .transforms import e_columns, flat_table, leader_ids, pack_columns, symbol_dtype
 from .transforms import r1 as _r1_eval
-
-DEFAULT_BUDGET = 1 << 24
 
 
 class AlgebraicStructureWarning(UserWarning):
     """The attacked quasigroup is commutative or associative; the cost
     guarantees assume neither."""
-
-
-def resolve_budget(budget=None):
-    """Budget precedence: explicit argument, QOWS_BUDGET, built-in default.
-    A budget must be a non-negative integer."""
-    if budget is not None:
-        limit, what = int(budget), "budget"
-    else:
-        env = os.environ.get("QOWS_BUDGET")
-        try:
-            limit, what = int(env) if env else DEFAULT_BUDGET, "QOWS_BUDGET"
-        except ValueError:
-            raise FormatError(f"QOWS_BUDGET must be an integer, got {env!r}")
-    if limit < 0:
-        raise FormatError(f"{what} must be non-negative, got {limit}")
-    return limit
 
 
 @dataclass
@@ -148,9 +130,7 @@ class PreimageHistogram:
 
 
 def _hypothesis_warnings(q):
-    from .core import algebraic_probe
-
-    profile = algebraic_probe(q)
+    profile = core.algebraic_probe(q)
     notes = []
     if profile.commutative:
         notes.append("quasigroup is commutative; attack cost guarantees assume it is not")
@@ -159,26 +139,6 @@ def _hypothesis_warnings(q):
     for n in notes:
         warnings.warn(n, AlgebraicStructureWarning, stacklevel=3)
     return notes
-
-
-def charge_budget(total, budget, what):
-    """Raise BudgetExceeded, with what naming the total, if total is over
-    the budget."""
-    limit = resolve_budget(budget)
-    if total > limit:
-        raise BudgetExceeded(f"{what} exceeds budget {limit}")
-
-
-def charge_power(base, exp, budget, what):
-    """Raise BudgetExceeded if base**exp is over the budget. base^exp >= 2^exp
-    for base > 1, so an exponent of the limit's bit length or more is
-    refused without computing or printing the power."""
-    limit = resolve_budget(budget)
-    if base > 1 and exp >= limit.bit_length():
-        raise BudgetExceeded(f"{what} {base}^{exp} exceeds budget {limit}")
-    total = base**exp
-    if total > limit:
-        raise BudgetExceeded(f"{what} {total} exceeds budget {limit}")
 
 
 def _sweep(q, n, steps, b, first_hit=False):
@@ -224,7 +184,7 @@ def brute_preimages(spec, b, budget=None, first_hit=False):
     if len(b) != n:
         raise LengthMismatch(f"output length {len(b)} != N = {n}")
     check_string(spec.q, b)
-    charge_power(s, n, budget, "domain size")
+    charge_power(s, n, resolve_budget(budget), "domain size")
     steps = tuple(family_steps(s, n, leader_ids(spec)))
     found, scanned, lookups = _sweep(spec.q, n, steps, b, first_hit)
     return AttackTrace(preimages=found, guesses=scanned, lookups=lookups,
@@ -234,7 +194,7 @@ def brute_preimages(spec, b, budget=None, first_hit=False):
 def preimage_histogram(spec, budget=None):
     """Count preimages of every output value by full forward enumeration."""
     s, n = spec.q.order, spec.n
-    charge_power(s, n, budget, "domain size")
+    charge_power(s, n, resolve_budget(budget), "domain size")
     total = s**n
     mul = flat_table(spec.q)
     steps = tuple(family_steps(s, n, leader_ids(spec)))
@@ -499,11 +459,10 @@ def attack_r1(q, b, budget=None, first_hit=False):
     s = q.order
     limit = resolve_budget(budget)
     # a full search makes exactly s^ceil(n/3) guesses; refuse one over the
-    # budget before compiling its schedule (an exponent of the limit's bit
-    # length or more is over it without computing the power)
+    # budget before compiling its schedule
     g = -(-n // 3)
-    if not first_hit and (s > 1 and g >= limit.bit_length() or s**g > limit):
-        raise BudgetExceeded(f"guess count exceeds budget {limit}")
+    if not first_hit and (over_by_exponent(s, g, limit) or s**g > limit):
+        refuse("guess count", limit)
     levels, seeds = _schedule(n)
     table = _r1_table(q)
     inherit, width, reads, *_, out = levels[0]
@@ -525,8 +484,7 @@ def attack_r1(q, b, budget=None, first_hit=False):
         # level's reads and n * n more to be verified through r1
         leaf_reads += int(np.where(died < 0, levels[-1][2] + n * n, died)[:stop].sum())
         leaves += stop
-        if leaves > limit:
-            raise BudgetExceeded(f"guess count exceeds budget {limit}")
+        charge(leaves, limit, "guess count")
         if first_hit and found:
             break
     # a level-k branch heads s^(g - k) leaves, so the leaves counted lie
@@ -546,7 +504,7 @@ def attack_r2(q, b, budget=None, first_hit=False):
     b = tuple(b)
     check_string(q, b)
     n = len(b)
-    charge_power(q.order, n, budget, "branch count")
+    charge_power(q.order, n, resolve_budget(budget), "branch count")
     notes = _hypothesis_warnings(q)
     found, guesses, lookups = _sweep(q, n, tuple(family_steps(q.order, n)), b, first_hit)
     return AttackTrace(preimages=found, guesses=guesses, lookups=lookups,

@@ -10,9 +10,10 @@ import json
 
 import numpy as np
 
+from .budget import charge, resolve_budget
+from .classification import FRACTAL, NON_FRACTAL
 from .core import Quasigroup
 from .errors import FormatError
-from .inversion import charge_budget
 from .transforms import Const, Index, e_iterates, periodic_row
 
 QG_EXT = ".qg"
@@ -147,8 +148,8 @@ def render_iterations(q, leader, motif, width, iterations, text=False):
     q._check(leader)
     if iterations < 0:
         raise FormatError(f"iterations must be non-negative, got {iterations}")
-    charge_budget(width * (iterations + 1), None,
-                  f"render width {width} times {iterations + 1} rows")
+    charge(width * (iterations + 1), resolve_budget(),
+           f"render width {width} times {iterations + 1} rows")
     grid = e_iterates(q, leader, periodic_row(q, motif, width), iterations)
     pal = palette(q.order)
     header = f"P{3 if text else 6}\n{width} {iterations + 1}\n255\n"
@@ -305,8 +306,6 @@ def serialize_census_report(report):
     for idx in report.disagreements:
         lines.append(f"# disagreement {idx}")
     total = len(report.fractal) + len(report.non_fractal)
-    from .classification import FRACTAL, NON_FRACTAL
-
     fset = set(report.fractal)
     for idx in range(1, total + 1):
         label = FRACTAL if idx in fset else NON_FRACTAL
@@ -319,8 +318,6 @@ def serialize_census_report(report):
 def serialize_census_json(report):
     """Machine-readable census export mirroring the text report fields."""
     st = report.parameters
-    from .classification import FRACTAL, NON_FRACTAL
-
     fset = set(report.fractal)
     total = len(report.fractal) + len(report.non_fractal)
     doc = {

@@ -1,4 +1,5 @@
 import itertools
+import time
 from collections import Counter
 
 import pytest
@@ -127,9 +128,13 @@ class TestPermutationSearch:
             permutation_search(ref_square, 2, 4, include_indices, budget=work - 1)
 
     def test_huge_n_is_refused_before_any_work(self, ref_square):
+        # with index leaders the alphabet has 4 + N tokens: counted, not built
         from qows import BudgetExceeded
-        with pytest.raises(BudgetExceeded):
-            permutation_search(ref_square, 10**9, 0)
+        for include_indices in (False, True):
+            t0 = time.perf_counter()
+            with pytest.raises(BudgetExceeded):
+                permutation_search(ref_square, 10**9, 0, include_indices)
+            assert time.perf_counter() - t0 < 1
 
     @pytest.mark.parametrize("n, max_len, error", [(0, 2, LengthMismatch),
                                                    (2, -1, FormatError)])

@@ -77,6 +77,17 @@ class TestBudget:
             resolve_budget(-1)
         assert resolve_budget(0) == 0
 
+    @pytest.mark.parametrize("budget", ["abc", "12", 2.7, 1.0, float("nan"), float("inf")])
+    def test_explicit_non_integer_is_refused(self, budget):
+        with pytest.raises(FormatError, match=r"^budget must be an integer, got "):
+            resolve_budget(budget)
+
+    def test_explicit_numpy_integer_passes(self):
+        assert resolve_budget(np.int64(7)) == 7
+        assert resolve_budget(np.uint8(255)) == 255
+        with pytest.raises(FormatError, match="budget must be non-negative"):
+            resolve_budget(np.int64(-1))
+
     def test_brute_budget_exceeded(self, ref_square):
         with pytest.raises(BudgetExceeded):
             brute_preimages(OwfSpec(ref_square, 5, ()), data.R2_OUTPUT, budget=100)
@@ -86,13 +97,16 @@ class TestBudget:
             attack_r2(ref_square, data.R2_OUTPUT, budget=100)
 
     def test_attack_r2_charges_before_the_probe(self, monkeypatch):
-        def unreachable(q):
-            raise AssertionError("structure probe ran before the budget check")
+        def probe(q):
+            raise AssertionError("structure probe reached")
 
-        monkeypatch.setattr("qows.core.algebraic_probe", unreachable)
+        monkeypatch.setattr("qows.core.algebraic_probe", probe)
         z300 = Quasigroup([[(u + v) % 300 for v in range(300)] for u in range(300)])
         with pytest.raises(BudgetExceeded, match="branch count"):
             attack_r2(z300, (0,) * 9, budget=10)
+        # control: within the budget the patched probe is the one called
+        with pytest.raises(AssertionError, match="structure probe reached"):
+            attack_r2(z300, (0,), budget=300)
 
     def test_histogram_budget_exceeded(self, ref_square):
         with pytest.raises(BudgetExceeded):
