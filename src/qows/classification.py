@@ -31,8 +31,8 @@ from . import transforms
 from .budget import charge, over_by_exponent, refuse, resolve_budget
 from .core import enumerate_order4
 from .errors import EmptyString, FormatError, LengthMismatch, OrderNotSupported
-from .transforms import Const, Index, digit_columns, e_row, family_columns, family_steps
-from .transforms import check_periodic, flat_table, pack_columns, symbol_dtype
+from .transforms import digit_columns, e_row, family_columns, family_steps, leader_tokens
+from .transforms import check_periodic, flat_table, pack_columns, symbol_dtype, unpack_string
 # Unused here; perfbench/tracing.py rebinds these names to count calls.
 from .transforms import OwfSpec, e_transform, r_n  # noqa: F401
 
@@ -68,18 +68,15 @@ def leader_strings(order, n, max_len, include_indices=False):
 
     Tokens at each position: constants 0..order-1, then (optionally) index
     leaders i_0..i_{n-1}; strings of a given length enumerate in product
-    order over that token sequence.
+    order over that token sequence. The v-th string of a length has the
+    base-ntok digits of v as its token ids (ntok tokens in all), decoded by
+    transforms.leader_tokens, so no token is built before its string is
+    yielded.
     """
-    tokens = _tokens(order, n, include_indices)
+    ntok = order + (n if include_indices else 0)
     for length in range(max_len + 1):
-        yield from itertools.product(tokens, repeat=length)
-
-
-def _tokens(order, n, include_indices):
-    tokens = [Const(v) for v in range(order)]
-    if include_indices:
-        tokens += [Index(j) for j in range(n)]
-    return tokens
+        for v in range(ntok**length):
+            yield leader_tokens(unpack_string(v, ntok, length), order)
 
 
 def _check_search(order, n, max_len, include_indices, budget):
@@ -91,7 +88,7 @@ def _check_search(order, n, max_len, include_indices, budget):
         raise FormatError(f"max leader length must be non-negative, got {max_len}")
     limit = resolve_budget(budget)
     what = f"{order}^{n} inputs times the leader strings up to length {max_len}"
-    ntok = order + (n if include_indices else 0)    # len(_tokens(...)), not built
+    ntok = order + (n if include_indices else 0)    # counted, not built
     if over_by_exponent(order, n, limit) or over_by_exponent(ntok, max_len, limit):
         refuse(what, limit)
     strings = (max_len + 1 if ntok == 1
@@ -128,8 +125,7 @@ def _first_witnesses(squares, n, max_len, include_indices):
     """permutation_search for each of several squares of one order, by
     length, dropping a square at its first witness."""
     s = squares[0].order
-    tokens = _tokens(s, n, include_indices)
-    ntok = len(tokens)
+    ntok = s + (n if include_indices else 0)
     mul = np.concatenate([flat_table(q) for q in squares])
     per_block = max(1, transforms.CHUNK_COLUMNS // s**n)    # (square, string) pairs
     witnesses = [None] * len(squares)
@@ -147,7 +143,7 @@ def _first_witnesses(squares, n, max_len, include_indices):
                 ids = digit_columns(lo, min(count, lo + step), ntok, length, symbol_dtype(ntok))
                 for i, hits in zip(batch, _bijective(mul, s, n, batch, ids)):
                     if hits.any():
-                        witnesses[i] = tuple(tokens[t] for t in ids[:, hits.argmax()])
+                        witnesses[i] = leader_tokens(ids[:, hits.argmax()].tolist(), s)
         pending = [i for i in pending if witnesses[i] is None]
         if not pending:
             break

@@ -152,8 +152,7 @@ def _cmd_search(args, parser):
     witness = classification.permutation_search(
         q, args.n, args.max_leader_len, include_indices=args.include_indices,
         budget=args.budget)
-    _emit(args, ("-" if witness is None
-                 else io_formats.serialize_leaders(witness)) + "\n")
+    _emit(args, io_formats.serialize_witness(witness) + "\n")
     return 0
 
 
@@ -193,11 +192,10 @@ def _cmd_classify(args, parser):
         ("threshold", settings.threshold),
         ("n", settings.n), ("max-leader-len", settings.max_len)])
     lines += f"label {label.label}\n"
-    lines += "witness " + ("-" if label.permutation_witness is None else
-                           io_formats.serialize_leaders(label.permutation_witness)) + "\n"
+    lines += f"witness {io_formats.serialize_witness(label.permutation_witness)}\n"
     lines += f"period-at-k {label.period_at_k}\n"
     for point in label.period_profile:
-        lines += f"period {point.k} {point.period}{'*' if point.capped else ''}\n"
+        lines += f"period {point.k} {io_formats.serialize_period(point)}\n"
     _emit(args, lines)
     return 0
 

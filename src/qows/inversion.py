@@ -141,12 +141,16 @@ def _hypothesis_warnings(q):
     return notes
 
 
-def _sweep(q, n, steps, b, first_hit=False):
-    """(preimages, tuples scanned, table reads made) of b under the steps
-    with the given token ids, by the column sweep over Q^n in packed order.
-    first_hit stops after the first block holding a preimage, keeping one.
+def _sweep(q, ids, b, first_hit, t0, notes=()):
+    """The AttackTrace of b, of length n, under the family member whose
+    preprocessing leaders have the token ids ids, by the column sweep over
+    Q^n in packed order: the preimages, the tuples scanned as guesses, the
+    table reads made as lookups, the time since t0, and the structure
+    notes. first_hit stops after the first block holding a preimage,
+    keeping one.
     """
-    s = q.order
+    s, n = q.order, len(b)
+    steps = tuple(family_steps(s, n, ids))
     # down a column the step is x <- left * x, x the row above's new symbol
     mul_t = flat_table(q).reshape(s, s).T.ravel()
     total = s**n
@@ -168,7 +172,8 @@ def _sweep(q, n, steps, b, first_hit=False):
         found += map(tuple, inputs[:, :1 if first_hit else None].T.tolist())
         if first_hit and found:
             break
-    return found, scanned, lookups
+    return AttackTrace(preimages=found, guesses=scanned, lookups=lookups,
+                       elapsed=time.perf_counter() - t0, warnings=list(notes))
 
 
 def brute_preimages(spec, b, budget=None, first_hit=False):
@@ -185,10 +190,7 @@ def brute_preimages(spec, b, budget=None, first_hit=False):
         raise LengthMismatch(f"output length {len(b)} != N = {n}")
     check_string(spec.q, b)
     charge_power(s, n, resolve_budget(budget), "domain size")
-    steps = tuple(family_steps(s, n, leader_ids(spec)))
-    found, scanned, lookups = _sweep(spec.q, n, steps, b, first_hit)
-    return AttackTrace(preimages=found, guesses=scanned, lookups=lookups,
-                       elapsed=time.perf_counter() - t0)
+    return _sweep(spec.q, leader_ids(spec), b, first_hit, t0)
 
 
 def preimage_histogram(spec, budget=None):
@@ -503,9 +505,6 @@ def attack_r2(q, b, budget=None, first_hit=False):
     t0 = time.perf_counter()
     b = tuple(b)
     check_string(q, b)
-    n = len(b)
-    charge_power(q.order, n, resolve_budget(budget), "branch count")
+    charge_power(q.order, len(b), resolve_budget(budget), "branch count")
     notes = _hypothesis_warnings(q)
-    found, guesses, lookups = _sweep(q, n, tuple(family_steps(q.order, n)), b, first_hit)
-    return AttackTrace(preimages=found, guesses=guesses, lookups=lookups,
-                       elapsed=time.perf_counter() - t0, warnings=notes)
+    return _sweep(q, (), b, first_hit, t0, notes)

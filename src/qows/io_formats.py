@@ -16,11 +16,6 @@ from .core import Quasigroup
 from .errors import FormatError
 from .transforms import Const, Index, e_iterates, periodic_row
 
-QG_EXT = ".qg"
-STRING_EXT = ".qs"
-IMAGE_EXT = ".ppm"
-CENSUS_EXT = ".census.txt"
-
 
 def parse_quasigroup(text):
     """Parse the quasigroup text format: order line, then s rows of s
@@ -122,6 +117,16 @@ def serialize_leaders(leaders):
         f"i{t.j}" if isinstance(t, Index) else str(t.value) for t in leaders)
 
 
+def serialize_witness(witness):
+    """A witness field: the leader string, or '-' when there is none."""
+    return "-" if witness is None else serialize_leaders(witness)
+
+
+def serialize_period(point):
+    """A period field: the PeriodPoint's period, with '*' when capped."""
+    return f"{point.period}{'*' if point.capped else ''}"
+
+
 def palette(order):
     """Symbol colors: evenly spaced gray levels, 0 lightest. The order-4
     palette is the fixed reference one."""
@@ -167,13 +172,17 @@ def render_iterations(q, leader, motif, width, iterations, text=False):
 
 
 def _pixmap_size(fields):
-    """Width and height from the two header fields of a pixmap."""
+    """Width and height from the width, height and maxval fields of a
+    pixmap header. The palette's levels are out of 255, the only maxval
+    render_iterations writes, so any other is refused."""
     try:
-        width, height = (int(t) for t in fields)
+        width, height, maxval = (int(t) for t in fields)
     except ValueError:
-        raise FormatError("malformed pixmap header: expected width and height")
+        raise FormatError("malformed pixmap header: expected width, height and maxval")
     if width < 0 or height < 0:
         raise FormatError(f"negative pixmap size {width} x {height}")
+    if maxval != 255:
+        raise FormatError(f"pixmap maxval {maxval} is not 255")
     return width, height
 
 
@@ -184,13 +193,13 @@ def decode_image(data, order):
         parts = data.split(b"\n", 3)
         if len(parts) < 4:
             raise FormatError("truncated pixmap")
-        width, height = _pixmap_size(parts[1].split())
+        width, height = _pixmap_size(parts[1].split() + [parts[2]])
         vals = parts[3]
     elif data.startswith(b"P3"):
         toks = data.split()
         if len(toks) < 4:
             raise FormatError("truncated pixmap")
-        width, height = _pixmap_size(toks[1:3])
+        width, height = _pixmap_size(toks[1:4])
         try:
             vals = [int(t) for t in toks[4:]]
         except ValueError:
@@ -274,8 +283,12 @@ def serialize_histogram(hist):
     return head + text.T[shown.T].tobytes().decode("ascii")
 
 
-def _period_field(point):
-    return f"{point.period}{'*' if point.capped else ''}"
+def _census_rows(report):
+    """(index, label, witness or None, PeriodPoint) of each square, by index."""
+    fset = set(report.fractal)
+    for idx in range(1, len(report.fractal) + len(report.non_fractal) + 1):
+        label = FRACTAL if idx in fset else NON_FRACTAL
+        yield idx, label, report.witnesses.get(idx), report.periods[idx]
 
 
 def serialize_census_report(report):
@@ -305,21 +318,14 @@ def serialize_census_report(report):
         lines.append(f"# computed-only {extra}")
     for idx in report.disagreements:
         lines.append(f"# disagreement {idx}")
-    total = len(report.fractal) + len(report.non_fractal)
-    fset = set(report.fractal)
-    for idx in range(1, total + 1):
-        label = FRACTAL if idx in fset else NON_FRACTAL
-        w = report.witnesses.get(idx)
-        witness = "-" if w is None else serialize_leaders(w)
-        lines.append(f"{idx} {label} {witness} {_period_field(report.periods[idx])}")
+    for idx, label, witness, point in _census_rows(report):
+        lines.append(f"{idx} {label} {serialize_witness(witness)} {serialize_period(point)}")
     return "\n".join(lines) + "\n"
 
 
 def serialize_census_json(report):
     """Machine-readable census export mirroring the text report fields."""
     st = report.parameters
-    fset = set(report.fractal)
-    total = len(report.fractal) + len(report.non_fractal)
     doc = {
         "order": 4,
         "parameters": {
@@ -338,13 +344,12 @@ def serialize_census_json(report):
         "entries": [
             {
                 "index": idx,
-                "label": FRACTAL if idx in fset else NON_FRACTAL,
-                "witness": None if report.witnesses.get(idx) is None
-                else serialize_leaders(report.witnesses[idx]),
-                "period": report.periods[idx].period,
-                "capped": report.periods[idx].capped,
+                "label": label,
+                "witness": None if witness is None else serialize_leaders(witness),
+                "period": point.period,
+                "capped": point.capped,
             }
-            for idx in range(1, total + 1)
+            for idx, label, witness, point in _census_rows(report)
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -261,18 +261,23 @@ def e_iterates(q, leader, row, iterations):
 CHUNK_COLUMNS = 1 << 18
 
 
-def family_steps(order, n, leaders=(), reverses=2):
+def family_steps(order, n, leaders=()):
     """An iterator over the token ids of the family member: leaders (which
-    may be a generator of per-column steps), then the reversed input twice;
-    r1 reverses once."""
+    may be a generator of per-column steps), then the reversed input twice."""
     rev = range(order + n - 1, order - 1, -1)
-    return itertools.chain(leaders, *[rev] * reverses)
+    return itertools.chain(leaders, rev, rev)
 
 
 def leader_ids(spec):
-    """The token ids of spec's preprocessing leaders."""
+    """The token ids of spec's preprocessing leaders: id l < order is
+    Const(l), id order + j is Index(j)."""
     s = spec.q.order
     return tuple(s + t.j if isinstance(t, Index) else t.value for t in spec.leaders)
+
+
+def leader_tokens(ids, order):
+    """Inverse of leader_ids: the leader tokens of the token ids."""
+    return tuple(Const(t) if t < order else Index(t - order) for t in ids)
 
 
 def digit_columns(lo, hi, base, n, dtype):

@@ -42,8 +42,7 @@ import random
 import numpy as np
 
 from qows import (AlgebraicProfile, Const, FormatError, Index, OwfSpec,
-                  PeriodPoint, leader_strings, minimal_period, pack_string,
-                  palette, r_n)
+                  PeriodPoint, minimal_period, pack_string, palette, r_n)
 from qows import transforms
 from qows.transforms import (e_row, periodic_row, r1, resolve_leaders,
                              symbol_dtype)
@@ -51,10 +50,15 @@ from qows.transforms import (e_row, periodic_row, r1, resolve_leaders,
 
 def reference_witness(q, n, max_len, include_indices=False):
     """First leader string in leader_strings order whose family member is
-    injective on Q^n; each candidate is dropped at its first repeated output."""
+    injective on Q^n; each candidate is dropped at its first repeated output.
+    The strings are its own itertools.product over its own tokens, not the
+    package's token-id codec."""
     table = q.table
     inputs = list(itertools.product(range(q.order), repeat=n))
-    for leaders in leader_strings(q.order, n, max_len, include_indices):
+    tokens = [Const(v) for v in range(q.order)]
+    tokens += [Index(j) for j in range(n)] if include_indices else []
+    strings = (itertools.product(tokens, repeat=k) for k in range(max_len + 1))
+    for leaders in itertools.chain.from_iterable(strings):
         spec = OwfSpec(q, n, leaders)
         seen = set()
         for a in inputs:

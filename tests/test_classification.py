@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -84,6 +85,18 @@ class TestLeaderStrings:
     def test_counts(self):
         # alphabet size 4, lengths 0..4
         assert sum(1 for _ in leader_strings(4, 2, 4)) == 1 + 4 + 16 + 64 + 256
+
+    def test_builds_no_token_before_yielding_it(self):
+        # a million index tokens are counted, not built, so the first
+        # strings come at once and in a few KiB
+        tracemalloc.start()
+        try:
+            got = list(itertools.islice(leader_strings(4, 10**6, 2, True), 6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == [(), (Const(0),), (Const(1),), (Const(2),), (Const(3),), (Index(0),)]
+        assert peak < 64 * 1024
 
 
 class TestPermutationSearch:

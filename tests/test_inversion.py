@@ -3,6 +3,7 @@ import math
 import random
 import statistics
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -525,8 +526,16 @@ class TestHypothesisWarnings:
             trace = attack_r1(mod4, b)
         # the warning does not void correctness
         assert trace.preimages == r1_preimages_by_enumeration(mod4, b)
+        b = r2(mod4, (0, 1, 2))
         with pytest.warns(AlgebraicStructureWarning):
-            attack_r2(mod4, r2(mod4, (0, 1, 2)))
+            trace = attack_r2(mod4, b)
+        # brute force shares the attack's sweep but not its structure notes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AlgebraicStructureWarning)
+            brute = brute_preimages(OwfSpec(mod4, 3, ()), b)
+        assert ((brute.preimages, brute.guesses, brute.lookups)
+                == (trace.preimages, trace.guesses, trace.lookups))
+        assert len(trace.warnings) == 2 and brute.warnings == []
 
     def test_unstructured_square_is_silent(self, ref_square, recwarn):
         attack_r1(ref_square, data.R1_ATTACK_B)

@@ -234,6 +234,9 @@ class TestRender:
         b"P3\n2",
         b"P3\n1 1\n255\n0 0 x",
         b"P3\n1 1\n255\n0 0",
+        # the renderer writes maxval 255 only
+        b"P6\n2 1\n7\n" + bytes([255] * 6),
+        b"P3\n1 1\n9\n0 0 0",
     ])
     def test_decode_rejects_malformed_headers(self, data):
         with pytest.raises(FormatError):

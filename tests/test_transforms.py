@@ -40,6 +40,7 @@ from qows.transforms import (
     family_steps,
     flat_table,
     leader_ids,
+    leader_tokens,
     pack_columns,
     symbol_dtype,
     tile_side,
@@ -373,7 +374,8 @@ class TestFamilyColumns:
                 for k, (w, a) in enumerate(zip(which, strings))]
         got = family_columns(mul, order, family_steps(order, n, steps), inputs, offset)
         assert _columns(got) == want
-        got = family_columns(mul, order, family_steps(order, n, reverses=1), inputs, offset)
+        r1_steps = range(order + n - 1, order - 1, -1)
+        got = family_columns(mul, order, r1_steps, inputs, offset)
         assert _columns(got) == [r1(squares[w], a) for w, a in zip(which, strings)]
         assert _columns(inputs) == strings
 
@@ -385,6 +387,15 @@ class TestFamilyColumns:
         inputs = np.array([a], dtype=np.uint8).T.copy()
         got = family_columns(mul, 4, family_steps(4, 3, leader_ids(spec)), inputs)
         assert _columns(got) == [r_n(spec, a)]
+
+    @given(st.integers(1, 17), st.integers(1, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_leader_tokens_inverts_leader_ids(self, order, n, draws):
+        tokens = st.one_of(st.builds(Const, st.integers(0, order - 1)),
+                           st.builds(Index, st.integers(0, n - 1)))
+        q = Quasigroup(data.shuffled_cyclic(order, random.Random(order)))
+        spec = OwfSpec(q, n, draws.draw(st.lists(tokens, max_size=8)))
+        assert leader_tokens(leader_ids(spec), order) == spec.leaders
 
     @given(st.integers(1, 300), st.integers(1, 4), st.integers(0, 2**40),
            st.integers(1, 300))
