@@ -27,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import transforms
 from .budget import charge, over_by_exponent, refuse, resolve_budget
 from .core import enumerate_order4
 from .errors import EmptyString, FormatError, LengthMismatch, OrderNotSupported
 from .transforms import digit_columns, e_row, family_columns, family_steps, leader_tokens
-from .transforms import check_periodic, flat_table, pack_columns, symbol_dtype, unpack_string
+from .transforms import blocks, check_periodic, flat_table, pack_columns, symbol_dtype
+from .transforms import unpack_string
 # Unused here; perfbench/tracing.py rebinds these names to count calls.
 from .transforms import OwfSpec, e_transform, r_n  # noqa: F401
 
@@ -107,13 +107,12 @@ def _bijective(mul, s, n, squares, ids):
     total = s**n
     strings = ids.shape[1]
     groups = len(squares) * strings
-    chunk = min(total, max(1, transforms.CHUNK_COLUMNS // groups))
     group_tok = np.tile(ids, len(squares))
     group_off = np.repeat(np.asarray(squares, dtype=np.intp) * (s * s), strings)
     seen = np.zeros((groups, total), dtype=bool)
-    for lo in range(0, total, chunk):
-        m = min(total, lo + chunk) - lo
-        inputs = np.tile(digit_columns(lo, lo + m, s, n, mul.dtype), groups)
+    for lo, hi in blocks(total, groups):
+        m = hi - lo
+        inputs = np.tile(digit_columns(lo, hi, s, n, mul.dtype), groups)
         leaders = (np.repeat(tok, m) for tok in group_tok)
         state = family_columns(mul, s, family_steps(s, n, leaders), inputs,
                                np.repeat(group_off, m))
@@ -127,20 +126,19 @@ def _first_witnesses(squares, n, max_len, include_indices):
     s = squares[0].order
     ntok = s + (n if include_indices else 0)
     mul = np.concatenate([flat_table(q) for q in squares])
-    per_block = max(1, transforms.CHUNK_COLUMNS // s**n)    # (square, string) pairs
     witnesses = [None] * len(squares)
     pending = list(range(len(squares)))
     for length in range(max_len + 1):
         count = ntok**length
-        step = min(count, per_block)
-        group = max(1, per_block // count)
-        for b in range(0, len(pending), group):
-            batch = pending[b:b + group]
-            for lo in range(0, count, step):
+        # batches of squares that each take every string of this length,
+        # searched in blocks of strings that each take all s^n inputs
+        for first, last in blocks(len(pending), count * s**n):
+            batch = pending[first:last]
+            for lo, hi in blocks(count, s**n):
                 batch = [i for i in batch if witnesses[i] is None]
                 if not batch:
                     break
-                ids = digit_columns(lo, min(count, lo + step), ntok, length, symbol_dtype(ntok))
+                ids = digit_columns(lo, hi, ntok, length, symbol_dtype(ntok))
                 for i, hits in zip(batch, _bijective(mul, s, n, batch, ids)):
                     if hits.any():
                         witnesses[i] = leader_tokens(ids[:, hits.argmax()].tolist(), s)

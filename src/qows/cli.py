@@ -11,7 +11,7 @@ import sys
 import warnings
 
 from . import budget, classification, core, inversion, io_formats, transforms
-from .errors import FormatError, QowsError
+from .errors import FormatError, LengthMismatch, QowsError
 
 
 def _read(path):
@@ -34,7 +34,7 @@ def _budget(text):
 
 
 def _load_quasigroup(args, parser):
-    if getattr(args, "index", None) is not None:
+    if args.index is not None:
         return core.from_index(args.index)
     if args.quasigroup is None:
         parser.error("one of --quasigroup/--index is required")
@@ -66,6 +66,8 @@ def _parse_output(args, q, parser):
     if args.output_value is not None:
         if args.n is None:
             parser.error("--output-value requires --N")
+        if args.n < 1:
+            raise LengthMismatch("N must be at least 1")
         return transforms.unpack_string(args.output_value, q.order, args.n)
     if args.output is None:
         parser.error("one of --output/--output-value is required")
@@ -215,13 +217,14 @@ def _cmd_gen(args, parser):
     return 0
 
 
-def _add_common(sp, quasigroup=True, index=True):
+def _add_common(sp, quasigroup=True):
+    """--out, and with quasigroup the two ways to name a square,
+    --quasigroup and --index."""
     if quasigroup:
         sp.add_argument("--quasigroup", metavar="FILE",
                         help="quasigroup table file")
-        if index:
-            sp.add_argument("--index", type=int, metavar="K",
-                            help="1-based lexicographic index of an order-4 square")
+        sp.add_argument("--index", type=int, metavar="K",
+                        help="1-based lexicographic index of an order-4 square")
     sp.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
 
 

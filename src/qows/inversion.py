@@ -59,7 +59,7 @@ import numpy as np
 from . import core, transforms
 from .budget import charge, charge_power, over_by_exponent, refuse, resolve_budget
 from .errors import LengthMismatch
-from .transforms import check_string, digit_columns, family_columns, family_steps
+from .transforms import blocks, check_string, digit_columns, family_columns, family_steps
 from .transforms import e_columns, flat_table, leader_ids, pack_columns, symbol_dtype
 from .transforms import r1 as _r1_eval
 
@@ -153,11 +153,9 @@ def _sweep(q, ids, b, first_hit, t0, notes=()):
     steps = tuple(family_steps(s, n, ids))
     # down a column the step is x <- left * x, x the row above's new symbol
     mul_t = flat_table(q).reshape(s, s).T.ravel()
-    total = s**n
-    chunk = transforms.CHUNK_COLUMNS
     found, scanned, lookups = [], 0, 0
-    for lo in range(0, total, chunk):
-        inputs = digit_columns(lo, min(total, lo + chunk), s, n, mul_t.dtype)
+    for lo, hi in blocks(s**n):
+        inputs = digit_columns(lo, hi, s, n, mul_t.dtype)
         scanned += inputs.shape[1]
         # row i holds step i's leader, then its output at the last column
         # stepped; a tuple leaves state and inputs at its first miss
@@ -197,13 +195,11 @@ def preimage_histogram(spec, budget=None):
     """Count preimages of every output value by full forward enumeration."""
     s, n = spec.q.order, spec.n
     charge_power(s, n, resolve_budget(budget), "domain size")
-    total = s**n
     mul = flat_table(spec.q)
     steps = tuple(family_steps(s, n, leader_ids(spec)))
-    chunk = transforms.CHUNK_COLUMNS
-    counts = np.zeros(total, dtype=np.int64)
-    for lo in range(0, total, chunk):
-        inputs = digit_columns(lo, min(total, lo + chunk), s, n, mul.dtype)
+    counts = np.zeros(s**n, dtype=np.int64)
+    for lo, hi in blocks(s**n):
+        inputs = digit_columns(lo, hi, s, n, mul.dtype)
         image = family_columns(mul, s, steps, inputs)
         np.add.at(counts, pack_columns(image, s), 1)
     return PreimageHistogram(counts=counts, order=s, n=n)
@@ -396,9 +392,9 @@ def _grow(parents, level, s, table):
     return cols[level[-1]], keep, died
 
 
-def _leaf_parents(cols, levels, k, s, table, reach):
+def _leaf_parents(cols, levels, s, table, reach):
     """Blocks of the branches of the last level but one, in depth-first
-    order, grown from the level-k branches in the columns of cols.
+    order, grown from the level-0 branches in the columns of cols.
 
     No level above the last can kill a branch (_schedule asserts it), so
     every branch is live and a level-j branch heads s^(g - j) leaves, g the
@@ -410,21 +406,21 @@ def _leaf_parents(cols, levels, k, s, table, reach):
     The levels are walked with a stack of block iterators, not by
     recursion, which would nest ceil(N/3) generator frames.
     """
-    def blocks(cols, j):
+    def split(cols, j):
         cap = max(1, min(transforms.CHUNK_COLUMNS // (2 * levels[j + 1][1] * s),
                          -(-reach // s ** (len(levels) - 1 - j))))
         return (cols[:, lo:lo + cap] for lo in range(0, cols.shape[1], cap))
 
-    stack = [blocks(cols, k)]
+    stack = [split(cols, 0)]
     while stack:
         block = next(stack[-1], None)
-        j = k + len(stack) - 1
+        j = len(stack) - 1
         if block is None:
             stack.pop()
         elif j + 2 == len(levels):
             yield block
         else:
-            stack.append(blocks(_grow(block, levels[j + 1], s, table)[0], j + 1))
+            stack.append(split(_grow(block, levels[j + 1], s, table)[0], j + 1))
 
 
 def attack_r1(q, b, budget=None, first_hit=False):
@@ -473,7 +469,7 @@ def attack_r1(q, b, budget=None, first_hit=False):
     root, keep, _ = _propagate(root, levels[0], s, table)
     assert keep.size, "output row alone cannot contradict"
     found, leaves, leaf_reads = [], 0, 0
-    for parents in _leaf_parents(root[out], levels, 0, s, table, limit + 1):
+    for parents in _leaf_parents(root[out], levels, s, table, limit + 1):
         cols, keep, died = _grow(parents, levels[-1], s, table)
         stop = died.size
         for i, cand in zip(keep.tolist(), map(tuple, cols.T.tolist())):

@@ -261,7 +261,16 @@ def e_iterates(q, leader, row, iterations):
 CHUNK_COLUMNS = 1 << 18
 
 
-def family_steps(order, n, leaders=()):
+def blocks(total, width=1):
+    """The (lo, hi) ranges that tile range(total) in order, each of
+    max(1, CHUNK_COLUMNS // width) items but the last, which ends at total:
+    the blocks of a scan whose items take width columns each."""
+    starts = range(0, total, max(1, CHUNK_COLUMNS // width))
+    # each block ends where the next starts, the last at total
+    return zip(starts, itertools.chain(starts[1:], [total]))
+
+
+def family_steps(order, n, leaders):
     """An iterator over the token ids of the family member: leaders (which
     may be a generator of per-column steps), then the reversed input twice."""
     rev = range(order + n - 1, order - 1, -1)
@@ -477,6 +486,8 @@ def pack_string(a, s):
 
 def unpack_string(value, s, n):
     """Decode pack_string: the length-n string whose base-s value is given."""
+    if n < 0:
+        raise LengthMismatch(f"string length must be non-negative, got {n}")
     if not 0 <= value < s**n:
         raise SymbolOutOfRange(f"value {value} not in [0, {s}^{n})")
     out = [0] * n

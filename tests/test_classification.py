@@ -2,6 +2,7 @@ import itertools
 import time
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -174,6 +175,20 @@ class TestPermutationSearch:
         for k in (1, 6, 46, 47, 355):
             q = from_index(k)
             assert permutation_search(q, 2, 2, True) == reference_witness(q, 2, 2, True)
+
+    @given(st.integers(2, 5), st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+           st.integers(1, 2), st.integers(0, 2), st.booleans(),
+           st.sampled_from([1, 7, 64, None]))
+    @settings(max_examples=40, deadline=None)
+    def test_square_batches_match_reference(self, order, seeds, n, max_len,
+                                            include_indices, columns):
+        # the census path: several squares share a block while one length's
+        # strings leave room, and a square leaves at its first witness
+        import qows.transforms as tr
+        squares = [random_latin(order, seed) for seed in seeds]
+        with mock.patch("qows.transforms.CHUNK_COLUMNS", columns or tr.CHUNK_COLUMNS):
+            got = _first_witnesses(squares, n, max_len, include_indices)
+        assert got == [reference_witness(q, n, max_len, include_indices) for q in squares]
 
 
 class TestPeriodProfile:

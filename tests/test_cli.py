@@ -325,6 +325,10 @@ def test_census_output_is_pinned(argv, digest, census_reports, tmp_path, monkeyp
     ["invert", "--index", "5", "--method", "attack-r1", "--output", "01", "--budget", "-1"],
     ["QOWS_BUDGET=-5", "invert", "--index", "5", "--method", "brute", "--output", "01"],
     ["gen", "--order", "100000"],
+    ["invert", "--index", "5", "--method", "attack-r1", "--N", "0", "--output-value", "0"],
+    ["invert", "--index", "5", "--method", "attack-r1", "--N", "0", "--output-value", "3"],
+    ["invert", "--index", "5", "--method", "attack-r1", "--N", "-2", "--output-value", "0"],
+    ["invert", "--index", "5", "--method", "attack-r1", "--N", "-2", "--output-value", "3"],
 ])
 def test_bad_input_exits_without_traceback(argv, tmp_path, capsys, monkeypatch):
     non_ascii = tmp_path / "table.qg"
@@ -341,6 +345,9 @@ def test_bad_input_exits_without_traceback(argv, tmp_path, capsys, monkeypatch):
     assert err and "Traceback" not in err
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1
+    if "--output-value" in argv:
+        # a length below 1 is named, not reported as a value out of a range
+        assert (code, err) == (1, "error: N must be at least 1\n")
 
 
 def test_benchmark_tracer_finds_the_names_it_rebinds(capsys):

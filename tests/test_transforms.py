@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from qows import (
 )
 from qows import transforms
 from qows.transforms import (
+    blocks,
     digit_columns,
     e_columns,
     e_iterates,
@@ -418,6 +420,27 @@ class TestFamilyColumns:
         assert pack_columns(cols, order).tolist() == list(range(lo, hi))
 
 
+@given(st.integers(0, 10**6), st.integers(1, 2**40), st.sampled_from([1, 7, 64, None]))
+@example(10**6, 1, 1)                           # a million blocks of one
+@example(0, 1, None)                            # nothing to tile
+@example(3 * transforms.CHUNK_COLUMNS + 1, 1, None)     # a last block of one
+@example(10**6, 2**40, None)                    # wider than a block: one item each
+@settings(max_examples=40, deadline=None)
+def test_blocks_tile_the_range(total, width, columns):
+    columns = columns or transforms.CHUNK_COLUMNS
+    with mock.patch("qows.transforms.CHUNK_COLUMNS", columns):
+        bounds = np.fromiter(itertools.chain.from_iterable(blocks(total, width)),
+                             dtype=np.int64).reshape(-1, 2)
+    size = max(1, columns // width)
+    if not total:
+        assert bounds.size == 0
+        return
+    lo, hi = bounds.T
+    assert lo[0] == 0 and hi[-1] == total and np.array_equal(lo[1:], hi[:-1])
+    sizes = hi - lo
+    assert (sizes[:-1] == size).all() and 1 <= sizes[-1] <= size
+
+
 class TestLeaderSequences:
     def test_single_reverse_rows(self, ref_square):
         leaders = tuple(reversed(data.REVERSE_EXAMPLE_INPUT))
@@ -524,3 +547,9 @@ class TestPacking:
         n = payload.draw(st.integers(1, 10))
         a = tuple(payload.draw(st.integers(0, order - 1)) for _ in range(n))
         assert unpack_string(pack_string(a, order), order, n) == a
+
+    def test_negative_length(self):
+        # not a value out of the float range [0, 4^-2)
+        assert unpack_string(0, 4, 0) == ()
+        with pytest.raises(LengthMismatch, match="non-negative"):
+            unpack_string(0, 4, -2)
