@@ -219,12 +219,13 @@ def _cmd_gen(args, parser):
 
 def _add_common(sp, quasigroup=True):
     """--out, and with quasigroup the two ways to name a square,
-    --quasigroup and --index."""
+    --quasigroup and --index, of which at most one may be given."""
     if quasigroup:
-        sp.add_argument("--quasigroup", metavar="FILE",
-                        help="quasigroup table file")
-        sp.add_argument("--index", type=int, metavar="K",
-                        help="1-based lexicographic index of an order-4 square")
+        named = sp.add_mutually_exclusive_group()
+        named.add_argument("--quasigroup", metavar="FILE",
+                           help="quasigroup table file")
+        named.add_argument("--index", type=int, metavar="K",
+                           help="1-based lexicographic index of an order-4 square")
     sp.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
 
 

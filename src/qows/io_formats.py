@@ -13,7 +13,7 @@ import numpy as np
 from .budget import charge, resolve_budget
 from .classification import FRACTAL, NON_FRACTAL
 from .core import Quasigroup
-from .errors import FormatError
+from .errors import FormatError, OrderNotSupported
 from .transforms import Const, Index, e_iterates, periodic_row
 
 
@@ -140,35 +140,34 @@ def render_iterations(q, leader, motif, width, iterations, text=False):
     """Portable pixmap of iterated transformations, one string per row.
 
     Row 0 is the periodic extension of motif to width; row k+1 is the
-    transformation of row k with the constant leader. The rows come from
-    transforms.e_iterates, which sweeps the grid in b x b tiles (b =
-    transforms.tile_side(order): 3 at order 4, 1 from order 9 up), one
-    vectorized step per anti-diagonal of tiles, and the
+    transformation of row k with the constant leader. The
     width * (iterations + 1) cells are charged against the budget
     (QOWS_BUDGET or the default) before anything is allocated. Binary P6
-    by default, one palette lookup for the whole body, written behind the
-    header in the one buffer that becomes the bytes; text P3 with
-    text=True. Output is byte-identical for identical inputs.
+    by default, returned as a bytearray: transforms.e_iterates sweeps the
+    grid in b x b tiles (b = transforms.tile_side(order): 3 at order 4, 1
+    from order 9 up) and expands the tile ids into pixels, each symbol's
+    palette colour a 3-byte cell, straight into the buffer that already
+    holds the header. Text P3 with text=True, as bytes, from the symbol
+    grid. Output is byte-identical for identical inputs.
     """
     q._check(leader)
     if iterations < 0:
         raise FormatError(f"iterations must be non-negative, got {iterations}")
     charge(width * (iterations + 1), resolve_budget(),
            f"render width {width} times {iterations + 1} rows")
-    grid = e_iterates(q, leader, periodic_row(q, motif, width), iterations)
+    row = periodic_row(q, motif, width)
     pal = palette(q.order)
     header = f"P{3 if text else 6}\n{width} {iterations + 1}\n255\n"
     if text:
         rgb = [" ".join(map(str, c)) for c in pal]
-        lines = [" ".join(map(rgb.__getitem__, r)) for r in grid.tolist()]
+        grid = e_iterates(q, leader, row, iterations).tolist()
+        lines = [" ".join(map(rgb.__getitem__, r)) for r in grid]
         return (header + "\n".join(lines) + "\n").encode("ascii")
-    head = header.encode("ascii")
-    out = np.empty(len(head) + grid.size * 3, np.uint8)
-    out[:len(head)] = np.frombuffer(head, np.uint8)
-    # the grid's symbols index the palette; mode "raise" would buffer out
-    np.array(pal, dtype=np.uint8).take(
-        grid, axis=0, out=out[len(head):].reshape(grid.shape + (3,)), mode="clip")
-    return out.tobytes()
+    data = bytearray(len(header) + 3 * width * (iterations + 1))
+    data[:len(header)] = header.encode("ascii")
+    pixels = np.frombuffer(data, "V3", offset=len(header)).reshape(iterations + 1, width)
+    e_iterates(q, leader, row, iterations, np.array(pal, np.uint8).view("V3")[:, 0], pixels)
+    return data
 
 
 def _pixmap_size(fields):
@@ -187,8 +186,12 @@ def _pixmap_size(fields):
 
 
 def decode_image(data, order):
-    """Inverse of render_iterations under the same palette: symbol rows."""
+    """Inverse of render_iterations under the same palette: symbol rows.
+    Above order 256 the palette repeats grey levels, so those orders are
+    refused."""
     pal = {rgb: sym for sym, rgb in enumerate(palette(order))}
+    if len(pal) < order:
+        raise OrderNotSupported(f"the order-{order} palette repeats grey levels")
     if data.startswith(b"P6"):
         parts = data.split(b"\n", 3)
         if len(parts) < 4:

@@ -167,37 +167,50 @@ def _tile_table(q, leader, b):
     (right, bottom, rows) over the tile ids, s^(2b) real ones and s^b + 1
     virtual ones.
 
-    Id i < s^(2b) is the tile whose left word (the b symbols left of it,
-    the top one most significant) is i // s^b and whose top word (the b
-    above it, the left one most significant) is i % s^b; right[i] is its
-    right edge times s^b, bottom[i] its bottom edge, and rows[r, i] its
-    row r as one item of b symbols. Virtual id s^(2b) + w has bottom edge
-    w, and virtual id s^(2b) + s^b the leader's word as its right edge.
+    A word is b symbols packed base s, the first most significant. Id
+    i < s^(2b) is the tile whose left word (the b symbols left of it, top
+    to bottom) is i // s^b and whose top word (the b above it) is
+    i % s^b; rows[r, i] is the word of its row r, right[i] its right edge
+    times s^b, and bottom[i] its bottom edge. Virtual id s^(2b) + w has
+    bottom edge w, and virtual id s^(2b) + s^b the leader's word as its
+    right edge. Row r is one e-step of the word above it led by the left
+    word's symbol r, so each row is one take from the steps of all
+    s^(b+1) (symbol, word) pairs.
     """
     s = q.order
-    dtype = symbol_dtype(s)
     span = s**b
     count = span * span
-    digits = digit_columns(0, count, s, 2 * b, dtype)
-    # cells[r, c, i]: cell (r, c) of tile i, each row one e-step led by
-    # the left word's symbol r over the row above
-    mul, above, cells = flat_table(q), digits[b:], np.empty((b, b, count), dtype)
+    dtype = np.min_scalar_type(count + span)
+    # steps[l * span + w]: word w after one e-step led by l
+    digits = digit_columns(0, s * span, s, b + 1, symbol_dtype(s))
+    lefts = np.repeat(np.multiply(digits[1:, :span], span, dtype=dtype), span, axis=1)
+    steps = pack_columns(e_columns(flat_table(q), s, digits[0], digits[1:]), s).astype(dtype)
+    rows = np.empty((b, count), dtype)
+    right, bottom = np.zeros((2, count + span + 1), dtype)
+    above = np.tile(np.arange(span, dtype=dtype), span)
     for r in range(b):
-        cells[r] = above
-        above = e_columns(mul, s, digits[r], cells[r])
-    right, bottom = np.zeros((2, count + span + 1), np.min_scalar_type(count + span))
-    right[:count] = pack_columns(cells[:, -1], s) * span
+        pairs = lefts[r] + above
+        above = rows[r] = steps[pairs]
+        right[:count] = right[:count] * s + above % s * span
     right[-1] = sum(leader * s**i for i in range(b)) * span
-    bottom[:count] = pack_columns(cells[-1], s)
+    bottom[:count] = rows[-1]
     bottom[count:-1] = np.arange(span)
-    rows = np.ascontiguousarray(cells.transpose(0, 2, 1))
-    return right, bottom, rows.view(f"V{b * rows.itemsize}")[..., 0]
+    return right, bottom, rows
 
 
-def e_iterates(q, leader, row, iterations):
+# Tile ids per band of e_iterates' expansion, which bounds its index and
+# output temporaries whatever the grid's shape
+EXPAND_IDS = 1 << 12
+
+
+def e_iterates(q, leader, row, iterations, cells=None, out=None):
     """row and its first iterations iterates under e_transform with the
-    constant leader, unchecked: a read-only (iterations + 1, len(row))
-    array in symbol_dtype.
+    constant leader, unchecked, symbol v written as the item cells[v]:
+    into out, a C-contiguous (iterations + 1, len(row)) array of
+    cells.dtype, which is returned read-only. By default cells are the
+    symbols themselves in symbol_dtype and out is a new array; the
+    renderer passes the palette's colours as 3-byte items and the body of
+    its pixmap as out.
 
     Cell (k, j) is T[cell (k, j-1)][cell (k-1, j)], with the leader left
     of column 0. Rows 1..iterations are cut into b x b tiles, b =
@@ -214,12 +227,17 @@ def e_iterates(q, leader, row, iterations):
     anti-diagonal d as row d of a buffer of (R + C + 1) * (min(R, C) + 1)
     ids, and read back through a strided view; a grid with more rows of
     tiles than columns is swept as its transpose, with right and bottom
-    swapped. Then one gather per row of a tile expands the ids into the
-    cells; the padding below the last row is never expanded, and that
-    right of the last column is cropped off.
+    swapped. The tiles' rows are then mapped through cells once, each row
+    of a tile one item of b cells, and the ids are expanded with them
+    straight into out, one take per band of about EXPAND_IDS ids, so every
+    temporary stays small; the padding below the last row is never
+    expanded, and when b does not divide the width each band is cropped
+    on its way into out.
     """
     s, width = q.order, len(row)
     dtype = symbol_dtype(s)
+    cells = np.arange(s, dtype=dtype) if cells is None else cells
+    out = np.empty((iterations + 1, width), cells.dtype) if out is None else out
     b = tile_side(s)
     right, bottom, rows = _tile_table(q, leader, b)
     count = s ** (2 * b)
@@ -246,15 +264,22 @@ def e_iterates(q, leader, row, iterations):
     tiles = np.lib.stride_tricks.as_strided(
         buf, (n, m), ((n + 1) * buf.itemsize, n * buf.itemsize))
     tiles = (tiles.T if tall else tiles)[1:, 1:]
-    grid = np.empty((iterations + 1, len(padded)), dtype)
-    grid[0] = padded
-    for r in range(b):
-        part = grid[1 + r::b]
-        part.view(rows.dtype)[...] = rows[r][tiles[:len(part)]]
-    if width < grid.shape[1]:
-        grid = grid[:, :width].copy()
-    grid.flags.writeable = False
-    return grid
+    # spelled[w]: the b cells of word w; words[r * count + i]: row r of
+    # tile i, its b cells as one item
+    spelled = cells.take(np.arange(s**b)[:, None] // s ** np.arange(b - 1, -1, -1) % s)
+    words = spelled.view(f"V{b * cells.itemsize}")[:, 0].take(rows.ravel())
+    offsets = np.arange(0, b * count, count)[:, None]
+    band = max(1, EXPAND_IDS // (b * tiles.shape[1]))
+    out[0] = cells[padded[:width]]
+    for t in range(0, len(tiles), band):
+        lo, hi = 1 + t * b, min(1 + (t + band) * b, iterations + 1)
+        ids = (offsets + tiles[t:t + band, None]).reshape(-1, tiles.shape[1])[:hi - lo]
+        if width % b:
+            out[lo:hi] = words.take(ids, mode="clip").view(cells.dtype)[:, :width]
+        else:
+            words.take(ids, out=out[lo:hi].view(words.dtype), mode="clip")
+    out.flags.writeable = False
+    return out
 
 
 # Columns per block in every bulk path.

@@ -329,6 +329,7 @@ def test_census_output_is_pinned(argv, digest, census_reports, tmp_path, monkeyp
     ["invert", "--index", "5", "--method", "attack-r1", "--N", "0", "--output-value", "3"],
     ["invert", "--index", "5", "--method", "attack-r1", "--N", "-2", "--output-value", "0"],
     ["invert", "--index", "5", "--method", "attack-r1", "--N", "-2", "--output-value", "3"],
+    ["transform", "--quasigroup", "{non_ascii}", "--index", "5", "--fn", "r1", "--input", "0123"],
 ])
 def test_bad_input_exits_without_traceback(argv, tmp_path, capsys, monkeypatch):
     non_ascii = tmp_path / "table.qg"
@@ -348,6 +349,18 @@ def test_bad_input_exits_without_traceback(argv, tmp_path, capsys, monkeypatch):
     if "--output-value" in argv:
         # a length below 1 is named, not reported as a value out of a range
         assert (code, err) == (1, "error: N must be at least 1\n")
+
+
+@pytest.mark.parametrize("command", [
+    "transform", "invert", "histogram", "search", "classify", "render"])
+def test_quasigroup_and_index_together_are_a_usage_error(command, tmp_path, capsys):
+    # the table file would otherwise be ignored in favour of the index
+    table = tmp_path / "table.qg"
+    table.write_text("1\n0\n")
+    with pytest.raises(SystemExit) as e:
+        main([command, "--quasigroup", str(table), "--index", "5"])
+    assert e.value.code == 2
+    assert "not allowed with argument --quasigroup" in capsys.readouterr().err
 
 
 def test_benchmark_tracer_finds_the_names_it_rebinds(capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qows import (
     EntryOutOfRange,
     FormatError,
     Index,
+    OrderNotSupported,
     OwfSpec,
     PreimageHistogram,
     decode_image,
@@ -241,6 +243,40 @@ class TestRender:
     def test_decode_rejects_malformed_headers(self, data):
         with pytest.raises(FormatError):
             decode_image(data, 4)
+
+    def test_decode_round_trips_at_order_256(self):
+        # the last order whose grey levels are all distinct
+        q = Quasigroup(data.shuffled_cyclic(256, random.Random(256)))
+        motif = (0, 1, 2, 3, 254, 255)
+        rows = decode_image(render_iterations(q, 7, motif, 24, 5), 256)
+        assert rows[0] == motif * 4
+        for k in range(5):
+            assert rows[k + 1] == e_transform(q, 7, rows[k])
+
+    @pytest.mark.parametrize("order", [257, 300])
+    def test_decode_refuses_orders_whose_palette_repeats(self, order):
+        # 257 or more symbols share 256 grey levels, so a decode would
+        # return wrong symbols
+        q = Quasigroup(data.shuffled_cyclic(order, random.Random(order)))
+        img = render_iterations(q, 0, (0, 1, 2, 3), 8, 2)
+        with pytest.raises(OrderNotSupported, match=f"order-{order} palette"):
+            decode_image(img, order)
+
+    @pytest.mark.parametrize("order, factor", [(4, 2), (8, 2), (16, 3)])
+    def test_working_memory_of_a_render(self, order, factor):
+        # the pixels are written once, into the buffer that is returned; at
+        # order 16 (b = 1) the skewed buffer of tile ids alone is 1.3 times
+        # the pixmap
+        q = Quasigroup(data.shuffled_cyclic(order, random.Random(order)))
+        render_iterations(q, 1, (0, 1, 2, 3), 600, 599)
+        tracemalloc.start()
+        try:
+            img = render_iterations(q, 1, (0, 1, 2, 3), 600, 599)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert img == reference_render(q, 1, (0, 1, 2, 3), 600, 599)
+        assert peak <= factor * 600 * 600 * 3
 
 
 class TestReportSerialization:
