@@ -41,7 +41,7 @@ def _load_quasigroup(args, parser):
     return io_formats.parse_quasigroup(_read(args.quasigroup))
 
 
-def _emit(args, text=None, data=None):
+def _emit(args, *texts, data=None):
     if data is not None:
         if args.out:
             with open(args.out, "wb") as fh:
@@ -51,9 +51,9 @@ def _emit(args, text=None, data=None):
         return
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+            fh.writelines(texts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
 def _config_lines(title, pairs):
@@ -139,13 +139,13 @@ def _cmd_histogram(args, parser):
     leaders = io_formats.parse_leaders(args.leaders or "")
     spec = transforms.OwfSpec(q, args.n, leaders)
     hist = inversion.preimage_histogram(spec, budget=args.budget)
-    text = _config_lines("histogram", [
+    header = _config_lines("histogram", [
         ("quasigroup", args.quasigroup or f"#{args.index}"),
         ("n", args.n),
         ("leaders", io_formats.serialize_leaders(leaders)),
         ("budget", budget.resolve_budget(args.budget))])
-    text += io_formats.serialize_histogram(hist)
-    _emit(args, text)
+    # two writes: the record is megabytes, and a concatenation copies it
+    _emit(args, header, io_formats.serialize_histogram(hist))
     return 0
 
 

@@ -33,7 +33,10 @@ relations (N in each of rows 1..N). So each guessed cell closes one
 relation, read as a check once its last cell is known. That this check
 comes after the last guess, and that g = ceil(N/3), is verified rather
 than proved: it holds for N = 1 to 320, 400 and 500, and _schedule
-asserts it for every N it compiles. Above the last level the search is
+asserts it for every N it compiles. The attack takes outputs of at most
+MAX_R1_LENGTH = 320 symbols, the longest up to which that shape is checked
+with no gap; the compile holds about 1 KB for each of the (N + 1) * N
+cells, some 100 MB at N = 320. Above the last level the search is
 then a complete s-ary tree. The attack grows it depth first in blocks,
 counts the leaves it reaches, and counts the reads of the levels above
 the last in closed form from that number. A full search makes exactly
@@ -58,7 +61,7 @@ import numpy as np
 
 from . import core, transforms
 from .budget import charge, charge_power, over_by_exponent, refuse, resolve_budget
-from .errors import LengthMismatch
+from .errors import LengthMismatch, QowsError
 from .transforms import blocks, check_string, digit_columns, family_columns, family_steps
 from .transforms import e_columns, flat_table, leader_ids, pack_columns, symbol_dtype
 from .transforms import r1 as _r1_eval
@@ -107,23 +110,30 @@ class PreimageHistogram:
     def domain_size(self):
         return self.order**self.n
 
+    def flags(self):
+        """(is_permutation, is_regular, largest count), from the number of
+        nonzero counts and the largest: every count is 1 when none is 0 and
+        the largest is 1, and the nonzero counts are equal when as many
+        counts equal the largest."""
+        hit = np.count_nonzero(self.counts)
+        top = int(self.counts.max(initial=0))
+        regular = hit > 0 and np.count_nonzero(self.counts == top) == hit
+        return hit == len(self.counts) and top == 1, regular, top
+
     def support(self):
-        """(values, is_permutation, is_regular) from one scan of counts:
-        the packed values with a preimage, and both flags from the least
-        and largest of their counts."""
-        values = np.flatnonzero(self.counts)
-        hit = self.counts[values]
-        regular = len(hit) > 0 and hit.min() == hit.max()
-        permutation = regular and len(hit) == len(self.counts) and hit[0] == 1
-        return values, bool(permutation), bool(regular)
+        """(values, is_permutation, is_regular): the packed values with a
+        preimage, in order, and the flags of flags(). The values come from
+        a boolean mask, which numpy scans without a branch per count."""
+        values = np.flatnonzero(self.counts != 0)
+        return (values, *self.flags()[:2])
 
     @property
     def is_permutation(self):
-        return self.support()[1]
+        return self.flags()[0]
 
     @property
     def is_regular(self):
-        return self.support()[2]
+        return self.flags()[1]
 
     def count_of(self, value):
         return int(self.counts[value])
@@ -204,6 +214,9 @@ def preimage_histogram(spec, budget=None):
         np.add.at(counts, pack_columns(image, s), 1)
     return PreimageHistogram(counts=counts, order=s, n=n)
 
+
+# The longest output attack_r1 takes (see the module docstring).
+MAX_R1_LENGTH = 320
 
 # Kinds of schedule read: the first three set a cell from the table of
 # that index; a check compares x * y with a known cell.
@@ -439,6 +452,8 @@ def attack_r1(q, b, budget=None, first_hit=False):
     A full search reaches all s^g leaves, so one over the budget is refused
     before the schedule is compiled; under first_hit the search stops at the
     first preimage, and raises once the leaves it counted pass the budget.
+    An output longer than MAX_R1_LENGTH is refused with a QowsError before
+    the schedule is compiled, first_hit or not.
 
     The propagation follows a schedule compiled once per output length
     (_schedule). Branches are grown a block at a time (_leaf_parents), as
@@ -461,6 +476,8 @@ def attack_r1(q, b, budget=None, first_hit=False):
     g = -(-n // 3)
     if not first_hit and (over_by_exponent(s, g, limit) or s**g > limit):
         refuse("guess count", limit)
+    if n > MAX_R1_LENGTH:
+        raise QowsError(f"attack-r1 takes outputs of at most {MAX_R1_LENGTH} symbols, got {n}")
     levels, seeds = _schedule(n)
     table = _r1_table(q)
     inherit, width, reads, *_, out = levels[0]

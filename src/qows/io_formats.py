@@ -6,6 +6,7 @@ starts a comment line in files that accept comments. Serialization is
 canonical (single spaces, no comments) so parse-serialize round trips are
 idempotent.
 """
+import functools
 import json
 
 import numpy as np
@@ -14,7 +15,7 @@ from .budget import charge, resolve_budget
 from .classification import FRACTAL, NON_FRACTAL
 from .core import Quasigroup
 from .errors import FormatError, OrderNotSupported
-from .transforms import Const, Index, e_iterates, periodic_row
+from .transforms import Const, Index, blocks, e_iterates, periodic_row
 
 
 def parse_quasigroup(text):
@@ -233,57 +234,70 @@ def serialize_attack_trace(trace, order):
     return "\n".join(lines) + "\n"
 
 
-def _decimal_rows(a):
-    """The decimal digits of the non-negative integers a, most significant
-    first, as the ASCII rows of a (width, len(a)) uint8 array, width the
-    digit count of a.max(); and the mask of the digits shown, False on the
-    leading zeros."""
-    top = a.max()
-    rest = a.astype(np.min_scalar_type(top))
-    digits = np.empty((len(str(top)), len(a)), np.uint8)
-    shown = np.empty(digits.shape, bool)
-    for row, show in zip(digits[::-1], shown[::-1]):
-        np.not_equal(rest, 0, out=show)
-        quot = rest // 10
-        np.subtract(rest, quot * 10, out=row, casting="unsafe")
-        rest = quot
-    shown[-1] = True
-    digits += ord("0")
-    return digits, shown
+@functools.cache
+def _quads():
+    """The numbers below 10^4 spelled in 4 ASCII bytes, right-aligned with
+    NUL bytes for the leading zeros (0 is all NUL), as uint32 items; and the
+    items "0000", which restores the zeros of a group after the first, and
+    three NUL bytes then "0", which spells a lone 0. Built on first use."""
+    n = np.arange(10**4)[:, None]
+    places = 10 ** np.arange(3, -1, -1)
+    cells = (n // places % 10 + ord("0")).astype(np.uint8)
+    cells[n < places] = 0
+    cells.flags.writeable = False     # one table serves every call
+    return cells.view(np.uint32).ravel(), *np.frombuffer(b"0000" b"\0\0\0" b"0", np.uint32)
+
+
+def _spell(x, cells):
+    """Write the decimal digits of the non-negative integers x into the
+    uint32 columns of cells, 4 digits a column, most significant first,
+    with NUL bytes for the leading zeros."""
+    quads, zeros, unit = _quads()
+    for k in range(cells.shape[1] - 1, 0, -1):
+        high = x // 10**4
+        cell = quads.take(x - high * 10**4)
+        # a group below a nonzero one keeps its zeros
+        cell |= np.multiply(high > 0, zeros, dtype=np.uint32)
+        cells[:, k] = cell
+        x = high
+    cells[:, 0] = quads.take(x)
+    cells[:, -1] |= unit    # 0 is spelled "0"
 
 
 def serialize_histogram(hist):
     """Counts in packed-value order, preceded by the derived flags. Domains
     above 4096 list only the nonzero entries.
 
-    The "<value> <count>" lines are written as one matrix of ASCII cells,
-    a row per entry, both numbers zero-padded to a fixed width; one
-    boolean mask drops the leading zeros, and the rest decodes at once.
+    The "<value> <count>" lines are built a block of entries at a time
+    (transforms.blocks), as a matrix of ASCII bytes with a row per line:
+    each number takes a whole number of 4-byte cells spelled by one take
+    from a table of the numbers below 10^4, its leading zeros NUL bytes,
+    which one bytes.translate per block drops. Beyond the returned text the
+    working memory is one block and a copy of the text as bytes.
     """
+    permutation, regular, top = hist.flags()
     full = hist.domain_size <= 4096
-    values, permutation, regular = hist.support()
     lines = [
         f"domain {hist.domain_size}",
         f"permutation {'true' if permutation else 'false'}",
         f"regular {'true' if regular else 'false'}",
         f"entries {'all' if full else 'nonzero'}",
     ]
-    head = "\n".join(lines) + "\n"
+    text = bytearray("\n".join(lines) + "\n", "ascii")
     counts = hist.counts
-    if full:
-        values = np.arange(len(counts))
-    if not len(values):
-        return head
-    value_digits, value_shown = _decimal_rows(values)
-    count_digits, count_shown = _decimal_rows(counts[values])
-    split = len(value_digits)
-    text = np.empty((split + len(count_digits) + 2, len(values)), np.uint8)
-    shown = np.ones(text.shape, bool)
-    text[:split], shown[:split] = value_digits, value_shown
-    text[split] = ord(" ")
-    text[split + 1:-1], shown[split + 1:-1] = count_digits, count_shown
-    text[-1] = ord("\n")
-    return head + text.T[shown.T].tobytes().decode("ascii")
+    # a line is the cells of the value, a space, those of the count, "\n"
+    vcells, ccells = (-(-len(str(m)) // 4) for m in (len(counts) - 1, top))
+    width = 4 * (vcells + ccells) + 2
+    for lo, hi in blocks(len(counts), width):
+        # every entry of a full domain, else the nonzero ones
+        values = lo + np.flatnonzero((counts[lo:hi] != 0) | full)
+        rows = np.empty((len(values), width), np.uint8)
+        rows[:, 4 * vcells] = ord(" ")
+        rows[:, -1] = ord("\n")
+        _spell(values, rows[:, :4 * vcells].view(np.uint32))
+        _spell(counts.take(values), rows[:, 4 * vcells + 1:-1].view(np.uint32))
+        text += rows.tobytes().translate(None, b"\0")
+    return text.decode("ascii")
 
 
 def _census_rows(report):

@@ -5,6 +5,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -94,6 +95,16 @@ class TestInvert:
         assert code == 0 and "guesses 16" in out.splitlines()
         code, out, err = run_cli(capsys, *argv, "--budget", "15")
         assert code == 1 and out == "" and "budget 15" in err
+
+    def test_attack_r1_refuses_a_long_first_hit_search(self, capsys):
+        # a first_hit search is not refused by its guess count, and the
+        # schedule of 8000 symbols would take gigabytes to compile
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "invert", "--method", "attack-r1", "--index", "355",
+                                 "--first-hit", "--output", "0" * 8000)
+        assert time.perf_counter() - t0 < 1
+        assert (code, out) == (1, "")
+        assert err == "error: attack-r1 takes outputs of at most 320 symbols, got 8000\n"
 
     def test_attack_r2(self, capsys, ref_square_file):
         code, out, _ = run_cli(capsys, "invert", "--method", "attack-r2",

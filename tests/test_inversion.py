@@ -20,6 +20,7 @@ from qows import (
     Index,
     OwfSpec,
     PreimageHistogram,
+    QowsError,
     Quasigroup,
     attack_r1,
     attack_r2,
@@ -133,6 +134,17 @@ class TestBudget:
             with pytest.raises(BudgetExceeded, match=r"^guess count exceeds budget \d+$"):
                 attack_r1(ref_square, b, budget=budget)
             assert time.perf_counter() - t0 < 1
+
+    def test_attack_r1_refuses_an_output_past_its_length_cap(self, ref_square, monkeypatch):
+        # the schedule's shape is checked up to 320 symbols; past that the
+        # attack is refused before compiling it, first_hit or not
+        def unreachable(n):
+            raise AssertionError("schedule compiled past the length cap")
+
+        monkeypatch.setattr("qows.inversion._schedule", unreachable)
+        for budget, first_hit in ((None, True), (4**107, False)):
+            with pytest.raises(QowsError, match="^attack-r1 takes outputs of at most 320 symbols, got 321$"):
+                attack_r1(ref_square, (0,) * 321, budget=budget, first_hit=first_hit)
 
     def test_attack_r1_first_hit_is_charged_guess_by_guess(self, ref_square):
         # first_hit may stop before s^ceil(N/3) guesses: no up-front refusal

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -331,6 +332,41 @@ class TestReportSerialization:
         lines = zip(got.splitlines(True), want.splitlines(True))
         assert next((pair for pair in lines if pair[0] != pair[1]), None) is None
         assert len(got) == len(want)
+
+    @pytest.mark.parametrize("columns", [1, 7, 64, None])
+    def test_histogram_blocks_match_reference(self, columns):
+        # blocks of one to a few entries: numbers across 10^4 and 10^8,
+        # 1-, 2- and 5-digit counts side by side, zero runs longer than a
+        # block, value 0 hit, and both sides of the 4096-entry listing rule
+        import qows.transforms as tr
+        cases = []
+        counts = np.zeros(101**2, np.int64)     # values 0..10200
+        counts[[0, 9998, 9999, 10000, 10001, 10200]] = [
+            7, 9999, 10000, 99_999_999, 100_000_000, 1]
+        cases.append(PreimageHistogram(counts=counts, order=101, n=2))
+        for order in (4096, 4097):
+            counts = np.zeros(order, np.int64)
+            counts[:6] = [3, 42, 12345, 0, 1, 10]
+            counts[200:203] = [99, 5, 10**4]
+            counts[-1] = 2
+            cases.append(PreimageHistogram(counts=counts, order=order, n=1))
+        with mock.patch("qows.transforms.CHUNK_COLUMNS", columns or tr.CHUNK_COLUMNS):
+            got = [serialize_histogram(hist) for hist in cases]
+        assert got == [reference_histogram_text(hist) for hist in cases]
+
+    @pytest.mark.parametrize("order, n", [(8, 6), (16, 5)])
+    def test_working_memory_of_a_histogram_record(self, order, n):
+        # a block of lines and the text as bytes beside the returned str
+        hist = preimage_histogram(OwfSpec(random_latin(order, 12345), n, (Const(3), Index(1))))
+        serialize_histogram(hist)
+        tracemalloc.start()
+        try:
+            text = serialize_histogram(hist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == reference_histogram_text(hist)
+        assert peak <= 3 * len(text)
 
     def _tiny_report(self):
         return CensusReport(
