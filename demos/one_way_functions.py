@@ -54,8 +54,9 @@ def main():
 
     for name, spec in (("3,3,a1,a0", left), ("3,3,a0,a1", right)):
         h = preimage_histogram(spec)
-        kind = ("permutation" if h.is_permutation
-                else f"{int(h.counts.max())}-regular" if h.is_regular
+        permutation, regular, top = h.flags()
+        kind = ("permutation" if permutation
+                else f"{top}-regular" if regular
                 else "irregular")
         print(f"histogram for {name}: {kind},",
               f"{int((h.counts > 0).sum())} of {h.domain_size} values hit")

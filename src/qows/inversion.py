@@ -64,7 +64,6 @@ from .budget import charge, charge_power, over_by_exponent, refuse, resolve_budg
 from .errors import LengthMismatch, QowsError
 from .transforms import blocks, check_string, digit_columns, family_columns, family_steps
 from .transforms import e_columns, flat_table, leader_ids, pack_columns, symbol_dtype
-from .transforms import r1 as _r1_eval
 
 
 class AlgebraicStructureWarning(UserWarning):
@@ -119,13 +118,6 @@ class PreimageHistogram:
         top = int(self.counts.max(initial=0))
         regular = hit > 0 and np.count_nonzero(self.counts == top) == hit
         return hit == len(self.counts) and top == 1, regular, top
-
-    def support(self):
-        """(values, is_permutation, is_regular): the packed values with a
-        preimage, in order, and the flags of flags(). The values come from
-        a boolean mask, which numpy scans without a branch per count."""
-        values = np.flatnonzero(self.counts != 0)
-        return (values, *self.flags()[:2])
 
     @property
     def is_permutation(self):
@@ -436,6 +428,12 @@ def _leaf_parents(cols, levels, s, table, reach):
             stack.append(split(_grow(block, levels[j + 1], s, table)[0], j + 1))
 
 
+def _r1_eval(table, a):
+    """r1 of a candidate of attack_r1, through the unchecked loop and not
+    charged: the candidate is a string over the table's symbols."""
+    return transforms._last(transforms._steps(table, a[::-1], a))
+
+
 def attack_r1(q, b, budget=None, first_hit=False):
     """Invert the single-reverse function by table completion and guessing.
 
@@ -490,7 +488,7 @@ def attack_r1(q, b, budget=None, first_hit=False):
         cols, keep, died = _grow(parents, levels[-1], s, table)
         stop = died.size
         for i, cand in zip(keep.tolist(), map(tuple, cols.T.tolist())):
-            if _r1_eval(q, cand) == b:
+            if _r1_eval(q.table, cand) == b:
                 found.append(cand)
                 if first_hit:
                     stop = i + 1

@@ -15,6 +15,13 @@ Leader application order follows the worked numeric examples: the resolved
 leader sequence is consumed left to right, the first listed leader applied
 first, and the reversed input contributes (a_{N-1}, ..., a_0) in that order.
 
+The pure-Python reference compositions (e_transform, apply_leader_sequence,
+transformation_rows, r1, r2, r_n) pass one entry check, _checked, and then
+one loop, _steps, which runs e_row on q.table once per leader. The check
+looks at the string once and at each leader once, and charges the
+len(leaders) * N e-steps against the budget before any is taken. e_inverse
+keeps its own loop behind the same check.
+
 Besides the pure-Python reference steps, two vectorized forms run the same
 step: e_columns over many independent strings, and e_iterates over the grid
 of a string and its iterates with a constant leader, the renderer's input.
@@ -24,11 +31,13 @@ follows from the b symbols left of it and the b above it, so one table of
 all tiles is built per call and each anti-diagonal of tiles is two takes
 and an add.
 """
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .budget import charge, resolve_budget
 from .errors import (
     EmptyString,
     FormatError,
@@ -58,6 +67,39 @@ def e_row(table, leader, a):
     return out
 
 
+def _checked(q, leaders, a):
+    """(leaders, a) as tuples after the one check of a composition: a must
+    be a nonempty string over q's symbols, then each leader a symbol of q.
+    leaders may be a function of the checked string, which gives them. The
+    len(leaders) * len(a) e-steps are charged against the budget before
+    any is taken."""
+    a = tuple(a)
+    check_string(q, a)
+    leaders = tuple(leaders(a) if callable(leaders) else leaders)
+    for l in leaders:
+        if not 0 <= l < q.order:
+            raise SymbolOutOfRange(f"leader {l} not in [0, {q.order})")
+    charge(len(leaders) * len(a), resolve_budget(),
+           f"{len(leaders)} leaders times {len(a)} symbols")
+    return leaders, a
+
+
+def _steps(table, leaders, a):
+    """The rows of a composition, unchecked: a, then e_row of the row
+    before under each leader in turn, first listed leader first."""
+    yield a
+    for l in leaders:
+        a = e_row(table, l, a)
+        yield a
+
+
+def _last(rows):
+    """The last of the rows, as a tuple."""
+    for row in rows:
+        pass
+    return tuple(row)
+
+
 def e_transform(q, leader, a):
     """Apply one elementary transformation with the given constant leader.
 
@@ -68,11 +110,7 @@ def e_transform(q, leader, a):
 
     Returns the transformed string as a tuple, the same length as a.
     """
-    a = tuple(a)
-    check_string(q, a)
-    if not 0 <= leader < q.order:
-        raise SymbolOutOfRange(f"leader {leader} not in [0, {q.order})")
-    return tuple(e_row(q.table, leader, a))
+    return _last(_steps(q.table, *_checked(q, (leader,), a)))
 
 
 def e_inverse(q, leader, b):
@@ -81,17 +119,10 @@ def e_inverse(q, leader, b):
     Uniqueness of left division makes the step bijective for every fixed
     leader, so e_inverse(q, l, e_transform(q, l, a)) == a always holds.
     """
-    b = tuple(b)
-    check_string(q, b)
-    if not 0 <= leader < q.order:
-        raise SymbolOutOfRange(f"leader {leader} not in [0, {q.order})")
+    leaders, b = _checked(q, (leader,), b)
     ldiv = q._ldiv
-    out = []
-    prev = leader
-    for x in b:
-        out.append(ldiv[prev][x])
-        prev = x
-    return tuple(out)
+    # a_i = b_{i-1} \ b_i, with b_{-1} the leader
+    return tuple(ldiv[prev][x] for prev, x in zip(leaders + b, b))
 
 
 def symbol_dtype(order):
@@ -402,11 +433,7 @@ def apply_leader_sequence(q, leaders, a):
 
     An empty leader sequence returns the input unchanged.
     """
-    a = tuple(a)
-    check_string(q, a)
-    for l in leaders:
-        a = e_transform(q, l, a)
-    return a
+    return _last(_steps(q.table, *_checked(q, leaders, a)))
 
 
 def transformation_rows(q, leaders, a):
@@ -415,25 +442,17 @@ def transformation_rows(q, leaders, a):
     Row k+1 is e_transform with leaders[k] applied to row k. Useful for
     reproducing worked tables.
     """
-    a = tuple(a)
-    check_string(q, a)
-    rows = [a]
-    for l in leaders:
-        rows.append(e_transform(q, l, rows[-1]))
-    return rows
+    return [tuple(row) for row in _steps(q.table, *_checked(q, leaders, a))]
 
 
 def r1(q, a):
     """Single reverse transformation: leaders are the reversed input."""
-    a = tuple(a)
-    return apply_leader_sequence(q, a[::-1], a)
+    return _last(_steps(q.table, *_checked(q, lambda a: a[::-1], a)))
 
 
 def r2(q, a):
     """Double reverse transformation: the reversed input applied twice."""
-    a = tuple(a)
-    rev = a[::-1]
-    return apply_leader_sequence(q, rev + rev, a)
+    return _last(_steps(q.table, *_checked(q, lambda a: a[::-1] * 2, a)))
 
 
 @dataclass(frozen=True)
@@ -491,9 +510,8 @@ def resolve_leaders(spec, a):
 
 def r_n(spec, a):
     """Evaluate the general family member on input a (length spec.n)."""
-    a = tuple(a)
-    check_string(spec.q, a)
-    return apply_leader_sequence(spec.q, resolve_leaders(spec, a), a)
+    leaders = functools.partial(resolve_leaders, spec)
+    return _last(_steps(spec.q.table, *_checked(spec.q, leaders, a)))
 
 
 def pack_string(a, s):

@@ -7,7 +7,7 @@ import pytest
 
 import qows
 from qows import (BudgetExceeded, OwfSpec, attack_r1, attack_r2, brute_preimages,
-                  period_profile, permutation_search, preimage_histogram, random_latin,
+                  period_profile, permutation_search, preimage_histogram, r2, random_latin,
                   render_iterations)
 from qows.cli import main
 
@@ -48,6 +48,9 @@ REFUSALS = {
     "random-latin-running": (
         3000, lambda q: random_latin(40, 0),
         "order-40 square: placed symbols exceed budget 3000"),
+    "composition": (
+        1000, lambda q: r2(q, (0,) * 30),
+        "60 leaders times 30 symbols exceeds budget 1000"),
 }
 
 

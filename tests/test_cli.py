@@ -341,6 +341,7 @@ def test_census_output_is_pinned(argv, digest, census_reports, tmp_path, monkeyp
     ["invert", "--index", "5", "--method", "attack-r1", "--N", "-2", "--output-value", "0"],
     ["invert", "--index", "5", "--method", "attack-r1", "--N", "-2", "--output-value", "3"],
     ["transform", "--quasigroup", "{non_ascii}", "--index", "5", "--fn", "r1", "--input", "0123"],
+    ["transform", "--index", "5", "--fn", "r2", "--input", "{long}"],
 ])
 def test_bad_input_exits_without_traceback(argv, tmp_path, capsys, monkeypatch):
     non_ascii = tmp_path / "table.qg"

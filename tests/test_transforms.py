@@ -86,6 +86,11 @@ class TestETransform:
             e_transform(ref_square, 4, (0, 1))
         with pytest.raises(OrderMismatch):
             e_transform(ref_square, 0, (0, 9))
+        # a bad leader late in a sequence is refused before any step
+        with mock.patch.object(transforms, "e_row", side_effect=AssertionError("stepped")):
+            for compose in (apply_leader_sequence, transformation_rows):
+                with pytest.raises(SymbolOutOfRange, match=r"^leader 9 not in \[0, 4\)$"):
+                    compose(ref_square, (0, 1, 2, 3, 9), (0, 1))
 
     def test_inverse_round_trip(self, ref_square):
         for a in itertools.product(range(4), repeat=3):
@@ -463,6 +468,23 @@ class TestLeaderSequences:
         assert apply_leader_sequence(ref_square, (), (0, 1, 2)) == (0, 1, 2)
 
 
+@pytest.mark.parametrize("compose", [
+    lambda q, a: e_transform(q, 1, a),
+    lambda q, a: apply_leader_sequence(q, a[::-1], a),
+    lambda q, a: transformation_rows(q, a, a),
+    r1,
+    r2,
+    lambda q, a: r_n(OwfSpec(q, len(a), (Const(2), Index(3))), a),
+], ids=["e_transform", "apply_leader_sequence", "transformation_rows", "r1", "r2", "r_n"])
+def test_one_string_check_per_composition(compose, ref_square, monkeypatch):
+    a = tuple(i * 7 % 4 for i in range(40))
+    checked = []
+    check = transforms.check_string
+    monkeypatch.setattr(transforms, "check_string", lambda q, a: checked.append(a) or check(q, a))
+    compose(ref_square, a)
+    assert checked == [a]
+
+
 class TestReverseTransforms:
     def test_r1_reference(self, ref_square):
         assert r1(ref_square, data.REVERSE_EXAMPLE_INPUT) == data.R1_OUTPUT
@@ -512,6 +534,12 @@ class TestOwfSpec:
         spec = OwfSpec(ref_square, 3, ())
         with pytest.raises(LengthMismatch):
             r_n(spec, (0, 1))
+        # the string is checked before its length: empty, then a symbol
+        # out of range, then the length
+        with pytest.raises(EmptyString):
+            r_n(spec, ())
+        with pytest.raises(OrderMismatch):
+            r_n(spec, (0, 9))
 
     def test_full_maps(self, ref_square):
         left = OwfSpec(ref_square, 2, (Const(3), Const(3), Index(1), Index(0)))
