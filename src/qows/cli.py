@@ -7,6 +7,7 @@ value-producing ones print the bare result.
 """
 import argparse
 import functools
+import itertools
 import sys
 import warnings
 
@@ -41,7 +42,10 @@ def _load_quasigroup(args, parser):
     return io_formats.parse_quasigroup(_read(args.quasigroup))
 
 
-def _emit(args, *texts, data=None):
+def _emit(args, pieces=(), data=None):
+    """Write to --out, else stdout: the bytes data, or else the str
+    pieces in order, each written as it comes, so the pieces of a
+    generator are never held together."""
     if data is not None:
         if args.out:
             with open(args.out, "wb") as fh:
@@ -51,9 +55,9 @@ def _emit(args, *texts, data=None):
         return
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            fh.writelines(texts)
+            fh.writelines(pieces)
     else:
-        sys.stdout.writelines(texts)
+        sys.stdout.writelines(pieces)
 
 
 def _config_lines(title, pairs):
@@ -102,7 +106,7 @@ def _cmd_transform(args, parser):
     else:
         leaders = io_formats.parse_leaders(args.leaders or "")
         out = transforms.r_n(transforms.OwfSpec(q, len(a), leaders), a)
-    _emit(args, io_formats.serialize_string(out, q.order) + "\n")
+    _emit(args, [io_formats.serialize_string(out, q.order) + "\n"])
     return 0
 
 
@@ -128,9 +132,8 @@ def _cmd_invert(args, parser):
             trace = attack(q, b, budget=args.budget, first_hit=args.first_hit)
     for note in trace.warnings:
         print(f"warning: {note}", file=sys.stderr)
-    text = _config_lines("invert", header)
-    text += io_formats.serialize_attack_trace(trace, q.order)
-    _emit(args, text)
+    _emit(args, [_config_lines("invert", header),
+                 io_formats.serialize_attack_trace(trace, q.order)])
     return 0
 
 
@@ -144,8 +147,8 @@ def _cmd_histogram(args, parser):
         ("n", args.n),
         ("leaders", io_formats.serialize_leaders(leaders)),
         ("budget", budget.resolve_budget(args.budget))])
-    # two writes: the record is megabytes, and a concatenation copies it
-    _emit(args, header, io_formats.serialize_histogram(hist))
+    # the record is megabytes: write it a block at a time, never whole
+    _emit(args, itertools.chain([header], io_formats.histogram_blocks(hist)))
     return 0
 
 
@@ -154,7 +157,7 @@ def _cmd_search(args, parser):
     witness = classification.permutation_search(
         q, args.n, args.max_leader_len, include_indices=args.include_indices,
         budget=args.budget)
-    _emit(args, io_formats.serialize_witness(witness) + "\n")
+    _emit(args, [io_formats.serialize_witness(witness) + "\n"])
     return 0
 
 
@@ -167,11 +170,10 @@ def _census_settings(args):
 def _cmd_census(args, parser):
     report = classification.census_order4(settings=_census_settings(args))
     if args.json:
-        _emit(args, io_formats.serialize_census_json(report))
+        _emit(args, [io_formats.serialize_census_json(report)])
         return 0
-    text = _config_lines("census", [])
-    text += io_formats.serialize_census_report(report)
-    _emit(args, text)
+    _emit(args, [_config_lines("census", []),
+                 io_formats.serialize_census_report(report)])
     return 0
 
 
@@ -198,7 +200,7 @@ def _cmd_classify(args, parser):
     lines += f"period-at-k {label.period_at_k}\n"
     for point in label.period_profile:
         lines += f"period {point.k} {io_formats.serialize_period(point)}\n"
-    _emit(args, lines)
+    _emit(args, [lines])
     return 0
 
 
@@ -213,7 +215,7 @@ def _cmd_render(args, parser):
 
 def _cmd_gen(args, parser):
     q = core.random_latin(args.order, args.seed)
-    _emit(args, io_formats.serialize_quasigroup(q))
+    _emit(args, [io_formats.serialize_quasigroup(q)])
     return 0
 
 

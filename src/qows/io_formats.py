@@ -264,16 +264,18 @@ def _spell(x, cells):
     cells[:, -1] |= unit    # 0 is spelled "0"
 
 
-def serialize_histogram(hist):
-    """Counts in packed-value order, preceded by the derived flags. Domains
-    above 4096 list only the nonzero entries.
+def histogram_blocks(hist):
+    """The histogram record as a generator of str pieces: the derived
+    flags, then the counts in packed-value order. Domains above 4096 list
+    only the nonzero entries.
 
-    The "<value> <count>" lines are built a block of entries at a time
+    The "<value> <count>" lines are spelled a block of entries at a time
     (transforms.blocks), as a matrix of ASCII bytes with a row per line:
     each number takes a whole number of 4-byte cells spelled by one take
     from a table of the numbers below 10^4, its leading zeros NUL bytes,
-    which one bytes.translate per block drops. Beyond the returned text the
-    working memory is one block and a copy of the text as bytes.
+    which one bytes.translate per block drops. Each block's lines are one
+    piece, made when the previous one has been taken, so a consumer that
+    writes each piece as it comes holds one block, never the record.
     """
     permutation, regular, top = hist.flags()
     full = hist.domain_size <= 4096
@@ -283,7 +285,7 @@ def serialize_histogram(hist):
         f"regular {'true' if regular else 'false'}",
         f"entries {'all' if full else 'nonzero'}",
     ]
-    text = bytearray("\n".join(lines) + "\n", "ascii")
+    yield "\n".join(lines) + "\n"
     counts = hist.counts
     # a line is the cells of the value, a space, those of the count, "\n"
     vcells, ccells = (-(-len(str(m)) // 4) for m in (len(counts) - 1, top))
@@ -296,8 +298,13 @@ def serialize_histogram(hist):
         rows[:, -1] = ord("\n")
         _spell(values, rows[:, :4 * vcells].view(np.uint32))
         _spell(counts.take(values), rows[:, 4 * vcells + 1:-1].view(np.uint32))
-        text += rows.tobytes().translate(None, b"\0")
-    return text.decode("ascii")
+        yield rows.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def serialize_histogram(hist):
+    """The histogram record as one str: the pieces of histogram_blocks
+    joined."""
+    return "".join(histogram_blocks(hist))
 
 
 def _census_rows(report):

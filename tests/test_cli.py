@@ -1,18 +1,21 @@
 import hashlib
 import importlib.util
+import io
 import json
 import pathlib
 import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import pytest
 
 import qows
-from qows import ClassifySettings, classification
-from qows import parse_quasigroup, render_iterations, from_index
+from qows import ClassifySettings, budget, classification, inversion, transforms
+from qows import (OwfSpec, from_index, parse_leaders, parse_quasigroup, preimage_histogram,
+                  random_latin, render_iterations, serialize_histogram, serialize_quasigroup)
 from qows.cli import main
 
 
@@ -179,6 +182,69 @@ class TestReportCommands:
         body = [l for l in out.splitlines() if not l.startswith("#")]
         assert code == 0
         assert "permutation true" in body
+
+    @pytest.mark.parametrize("n, entries", [(5, "all"), (7, "nonzero")])
+    def test_histogram_written_a_block_at_a_time(self, n, entries, tmp_path, monkeypatch):
+        # blocks of a few entries, across the 4096-entry listing rule: both
+        # destinations get the header and the record exactly, and stdout
+        # gets the record in pieces of a block, whose lines fill at most
+        # CHUNK_COLUMNS bytes
+        columns = 96
+        monkeypatch.delenv("QOWS_BUDGET", raising=False)
+        monkeypatch.setattr(transforms, "CHUNK_COLUMNS", columns)
+        hist = preimage_histogram(OwfSpec(from_index(355), n, parse_leaders("3,i1")))
+        record = serialize_histogram(hist)
+        assert f"entries {entries}\n" in record
+        want = (f"# qows histogram\n# quasigroup #355\n# n {n}\n"
+                f"# leaders 3,i1\n# budget {budget.DEFAULT_BUDGET}\n") + record
+        argv = ["histogram", "--index", "355", "--N", str(n), "--leaders", "3,i1"]
+        out = tmp_path / "h"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == want.encode("ascii")
+
+        sizes = []
+
+        class Pieces(io.StringIO):
+            def write(self, piece):
+                sizes.append(len(piece))
+                return super().write(piece)
+        monkeypatch.setattr(sys, "stdout", Pieces())
+        assert main(argv) == 0
+        assert sys.stdout.getvalue() == want
+        # after the header and the flag lines
+        assert len(sizes) > 20 and max(sizes[2:]) <= columns
+
+    def test_histogram_holds_no_copy_of_the_record(self, tmp_path, monkeypatch):
+        # 16^5: 8.4 MB of counts and a 5.9 MB record. Writing it holds the
+        # counts and one block of lines; the whole call, whose scan holds
+        # the counts and a block of columns, stays below the counts and the
+        # record. Holding the record whole, as text or bytes, breaks both.
+        monkeypatch.delenv("QOWS_BUDGET", raising=False)
+        q = random_latin(16, 12345)
+        hist = preimage_histogram(OwfSpec(q, 5, parse_leaders("3,i1")))
+        counts, record = hist.counts.nbytes, len(serialize_histogram(hist))
+        path = tmp_path / "q16"
+        path.write_text(serialize_quasigroup(q))
+        argv = ["histogram", "--quasigroup", str(path), "--N", "5",
+                "--leaders", "3,i1", "--out", str(tmp_path / "h")]
+        assert main(argv) == 0
+
+        def peak():
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak() < counts + record
+        scan = inversion.preimage_histogram
+
+        def scan_then_reset(*args, **kwargs):
+            hist = scan(*args, **kwargs)
+            tracemalloc.reset_peak()    # from here on, the writing
+            return hist
+        monkeypatch.setattr(inversion, "preimage_histogram", scan_then_reset)
+        assert peak() < counts + record // 2
 
     def test_search_witness(self, capsys, ref_square_file):
         code, out, _ = run_cli(capsys, "search", "--quasigroup", ref_square_file, "--N", "2")

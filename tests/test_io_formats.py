@@ -356,7 +356,7 @@ class TestReportSerialization:
 
     @pytest.mark.parametrize("order, n", [(8, 6), (16, 5)])
     def test_working_memory_of_a_histogram_record(self, order, n):
-        # a block of lines and the text as bytes beside the returned str
+        # a block of lines and the blocks' pieces beside their join
         hist = preimage_histogram(OwfSpec(random_latin(order, 12345), n, (Const(3), Index(1))))
         serialize_histogram(hist)
         tracemalloc.start()
