@@ -52,6 +52,13 @@ def charge(total, limit, what, verb="exceeds"):
         refuse(what, limit, verb)
 
 
+def charge_steps(leaders, n, limit):
+    """Charge the leaders * n e-steps of one evaluation, leaders steps over
+    n symbols each; the message is formatted only on refusal."""
+    if leaders * n > limit:
+        refuse(f"{leaders} leaders times {n} symbols", limit)
+
+
 def charge_power(base, exp, limit, what):
     """Charge base**exp units, named in the message by what followed by the
     power, as base^exp when its exponent alone puts it over limit, else by

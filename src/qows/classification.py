@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import charge, over_by_exponent, refuse, resolve_budget
+from .budget import charge, charge_steps, over_by_exponent, refuse, resolve_budget
 from .core import enumerate_order4
 from .errors import EmptyString, FormatError, LengthMismatch, OrderNotSupported
 from .transforms import digit_columns, e_row, family_columns, family_steps, leader_tokens
@@ -81,7 +81,8 @@ def leader_strings(order, n, max_len, include_indices=False):
 
 def _check_search(order, n, max_len, include_indices, budget):
     """Validate a witness search and charge s^n inputs per leader string
-    against the budget, before any work."""
+    against the budget, then the e-steps of one evaluation under the
+    longest leader string, before any work."""
     if n < 1:
         raise LengthMismatch("N must be at least 1")
     if max_len < 0:
@@ -94,6 +95,7 @@ def _check_search(order, n, max_len, include_indices, budget):
     strings = (max_len + 1 if ntok == 1
                else (ntok**(max_len + 1) - 1) // (ntok - 1))
     charge(order**n * strings, limit, what)
+    charge_steps(max_len + 2 * n, n, limit)
 
 
 def _bijective(mul, s, n, squares, ids):

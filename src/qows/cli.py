@@ -72,6 +72,9 @@ def _parse_output(args, q, parser):
             parser.error("--output-value requires --N")
         if args.n < 1:
             raise LengthMismatch("N must be at least 1")
+        # charged before the string is built, which would take N symbols
+        budget.charge(args.n, budget.resolve_budget(args.budget),
+                      f"output of {args.n} symbols")
         return transforms.unpack_string(args.output_value, q.order, args.n)
     if args.output is None:
         parser.error("one of --output/--output-value is required")

@@ -37,7 +37,9 @@ asserts it for every N it compiles. The attack takes outputs of at most
 MAX_R1_LENGTH = 320 symbols, the longest up to which that shape is checked
 with no gap; the compile holds about 1 KB for each of the (N + 1) * N
 cells, some 100 MB at N = 320. Above the last level the search is
-then a complete s-ary tree. The attack grows it depth first in blocks,
+then a complete s-ary tree. The attack grows it depth first by recursion
+on the levels, one generator frame per guess level (107 at N = 320), each
+taking its blocks of parents from transforms.blocks like every other scan,
 counts the leaves it reaches, and counts the reads of the levels above
 the last in closed form from that number. A full search makes exactly
 s^ceil(N/3) guesses, the paper's s^(N/3) meeting point, so one over the
@@ -60,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, transforms
-from .budget import charge, charge_power, over_by_exponent, refuse, resolve_budget
+from .budget import charge, charge_power, charge_steps, over_by_exponent, refuse, resolve_budget
 from .errors import LengthMismatch, QowsError
 from .transforms import blocks, check_string, digit_columns, family_columns, family_steps
 from .transforms import e_columns, flat_table, leader_ids, pack_columns, symbol_dtype
@@ -143,6 +145,15 @@ def _hypothesis_warnings(q):
     return notes
 
 
+def _charge_scan(s, n, leaders, budget, what):
+    """Charge a scan of Q^n under leaders preprocessing leaders: its s^n
+    tuples, named by what, then one evaluation's (leaders + 2n) * n
+    e-steps, which bound the scan where s^n does not, at order 1."""
+    limit = resolve_budget(budget)
+    charge_power(s, n, limit, what)
+    charge_steps(leaders + 2 * n, n, limit)
+
+
 def _sweep(q, ids, b, first_hit, t0, notes=()):
     """The AttackTrace of b, of length n, under the family member whose
     preprocessing leaders have the token ids ids, by the column sweep over
@@ -189,14 +200,14 @@ def brute_preimages(spec, b, budget=None, first_hit=False):
     if len(b) != n:
         raise LengthMismatch(f"output length {len(b)} != N = {n}")
     check_string(spec.q, b)
-    charge_power(s, n, resolve_budget(budget), "domain size")
+    _charge_scan(s, n, len(spec.leaders), budget, "domain size")
     return _sweep(spec.q, leader_ids(spec), b, first_hit, t0)
 
 
 def preimage_histogram(spec, budget=None):
     """Count preimages of every output value by full forward enumeration."""
     s, n = spec.q.order, spec.n
-    charge_power(s, n, resolve_budget(budget), "domain size")
+    _charge_scan(s, n, len(spec.leaders), budget, "domain size")
     mul = flat_table(spec.q)
     steps = tuple(family_steps(s, n, leader_ids(spec)))
     counts = np.zeros(s**n, dtype=np.int64)
@@ -312,7 +323,7 @@ def _schedule(n):
                  for w in ((x, y, c) if closing else (x, y))}
         inherit = sorted((set(need) | reads).difference(guess, sets))
         at = {c: r for r, c in enumerate(inherit + guess + sets)}
-        levels.append((len(inherit), len(at), len(ops), *_steps(ops, at),
+        levels.append((len(inherit), len(at), len(ops), *_wavefronts(ops, at),
                        np.array([at[c] for c in need], dtype=np.intp)))
         need = inherit
     # the shape attack_r1 counts on (see the module docstring): ceil(n/3)
@@ -322,7 +333,7 @@ def _schedule(n):
     return tuple(levels[::-1]), tuple(need)
 
 
-def _steps(ops, at):
+def _wavefronts(ops, at):
     """(ops, steps) of one level (see _schedule) from its reads in order,
     each (kind, x, y, c, closing, front), on the rows at of its cells."""
     # within a front, the reads that set a row first
@@ -384,48 +395,31 @@ def _propagate(cols, level, s, table):
     return cols, keep, died
 
 
-def _grow(parents, level, s, table):
-    """_propagate at a guess level over every branch in the columns of
-    parents grown by each guess, in lexicographic order; the live columns
-    are returned as their out rows."""
-    inherit, width = level[:2]
-    m = parents.shape[1]
-    cols = np.empty((width, m * s), parents.dtype)
-    cols[:inherit].reshape(inherit, m, s)[...] = parents[:, :, None]
-    cols[inherit].reshape(m, s)[...] = np.arange(s, dtype=parents.dtype)
-    cols, keep, died = _propagate(cols, level, s, table)
-    return cols[level[-1]], keep, died
+def _leaves(parents, levels, s, table, reach, j=1):
+    """_propagate at the last level, per block of its branches in depth-first
+    order, grown from the level-(j - 1) branches in the columns of parents:
+    level j grows each parent by every guess, in lexicographic order, and
+    passes its live columns, as their out rows, on to level j + 1.
 
-
-def _leaf_parents(cols, levels, s, table, reach):
-    """Blocks of the branches of the last level but one, in depth-first
-    order, grown from the level-0 branches in the columns of cols.
-
-    No level above the last can kill a branch (_schedule asserts it), so
-    every branch is live and a level-j branch heads s^(g - j) leaves, g the
-    last level. A block of level-j parents holds at most CHUNK_COLUMNS //
-    (2 * width * s) of them, width that of level j + 1, so that it and the
-    copy a check that kills some of it makes fit in CHUNK_COLUMNS cells; and
-    at most ceil(reach / s^(g - j)), which together head at least reach
-    leaves, as many as a search that stops within reach leaves gets to.
-    The levels are walked with a stack of block iterators, not by
-    recursion, which would nest ceil(N/3) generator frames.
+    No level above the last can kill a branch (_schedule asserts it), so a
+    level-(j - 1) parent heads s^(g - j + 1) leaves, g the last level. A
+    level scans at most ceil(reach / s^(g - j + 1)) of its parents, which
+    head at least reach leaves, as many as a search that stops within reach
+    leaves gets to. Its blocks of parents are blocks(total, 2 * width * s),
+    width that of level j, so that a block grown and the copy a check that
+    kills some of it makes fit in CHUNK_COLUMNS cells.
     """
-    def split(cols, j):
-        cap = max(1, min(transforms.CHUNK_COLUMNS // (2 * levels[j + 1][1] * s),
-                         -(-reach // s ** (len(levels) - 1 - j))))
-        return (cols[:, lo:lo + cap] for lo in range(0, cols.shape[1], cap))
-
-    stack = [split(cols, 0)]
-    while stack:
-        block = next(stack[-1], None)
-        j = len(stack) - 1
-        if block is None:
-            stack.pop()
-        elif j + 2 == len(levels):
-            yield block
+    inherit, width, *_, out = levels[j]
+    total = min(parents.shape[1], -(-reach // s ** (len(levels) - j)))
+    for lo, hi in blocks(total, 2 * width * s):
+        cols = np.empty((width, (hi - lo) * s), parents.dtype)
+        cols[:inherit].reshape(inherit, hi - lo, s)[...] = parents[:, lo:hi, None]
+        cols[inherit].reshape(-1, s)[...] = np.arange(s, dtype=parents.dtype)
+        cols, keep, died = _propagate(cols, levels[j], s, table)
+        if j + 1 < len(levels):
+            yield from _leaves(cols[out], levels, s, table, reach, j + 1)
         else:
-            stack.append(split(_grow(block, levels[j + 1], s, table)[0], j + 1))
+            yield cols[out], keep, died
 
 
 def _r1_eval(table, a):
@@ -454,7 +448,7 @@ def attack_r1(q, b, budget=None, first_hit=False):
     the schedule is compiled, first_hit or not.
 
     The propagation follows a schedule compiled once per output length
-    (_schedule). Branches are grown a block at a time (_leaf_parents), as
+    (_schedule). Branches are grown a block at a time (_leaves), as
     the columns of an array of cells in symbol_dtype. A full search reads
     exactly what lookups counts. When first_hit stops the search at a
     preimage, the rest of the blocks open there has been read as well,
@@ -484,8 +478,7 @@ def attack_r1(q, b, budget=None, first_hit=False):
     root, keep, _ = _propagate(root, levels[0], s, table)
     assert keep.size, "output row alone cannot contradict"
     found, leaves, leaf_reads = [], 0, 0
-    for parents in _leaf_parents(root[out], levels, s, table, limit + 1):
-        cols, keep, died = _grow(parents, levels[-1], s, table)
+    for cols, keep, died in _leaves(root[out], levels, s, table, limit + 1):
         stop = died.size
         for i, cand in zip(keep.tolist(), map(tuple, cols.T.tolist())):
             if _r1_eval(q.table, cand) == b:
@@ -516,6 +509,6 @@ def attack_r2(q, b, budget=None, first_hit=False):
     t0 = time.perf_counter()
     b = tuple(b)
     check_string(q, b)
-    charge_power(q.order, len(b), resolve_budget(budget), "branch count")
+    _charge_scan(q.order, len(b), 0, budget, "branch count")
     notes = _hypothesis_warnings(q)
     return _sweep(q, (), b, first_hit, t0, notes)

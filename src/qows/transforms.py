@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import refuse, resolve_budget
+from .budget import charge_steps, resolve_budget
 from .errors import (
     EmptyString,
     FormatError,
@@ -79,10 +79,7 @@ def _checked(q, leaders, a):
     for l in leaders:
         if not 0 <= l < q.order:
             raise SymbolOutOfRange(f"leader {l} not in [0, {q.order})")
-    limit = resolve_budget()
-    if len(leaders) * len(a) > limit:
-        # not charge(), whose message would be formatted on every call
-        refuse(f"{len(leaders)} leaders times {len(a)} symbols", limit)
+    charge_steps(len(leaders), len(a), resolve_budget())
     return leaders, a
 
 

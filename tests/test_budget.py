@@ -6,12 +6,16 @@ import pathlib
 import pytest
 
 import qows
-from qows import (BudgetExceeded, OwfSpec, attack_r1, attack_r2, brute_preimages,
+from qows import (BudgetExceeded, OwfSpec, Quasigroup, attack_r1, attack_r2, brute_preimages,
                   period_profile, permutation_search, preimage_histogram, r2, random_latin,
                   render_iterations)
 from qows.cli import main
 
 SRC = pathlib.Path(qows.__file__).resolve().parent
+
+# At order 1 the domain is one tuple, so the e-steps of its one evaluation
+# are what the scans charge last.
+ORDER_1 = Quasigroup([[0]])
 
 # (QOWS_BUDGET, the refused call on the reference square, its exact message)
 REFUSALS = {
@@ -51,6 +55,18 @@ REFUSALS = {
     "composition": (
         1000, lambda q: r2(q, (0,) * 30),
         "60 leaders times 30 symbols exceeds budget 1000"),
+    "brute-order-1": (
+        100, lambda q: brute_preimages(OwfSpec(ORDER_1, 10, ()), (0,) * 10),
+        "20 leaders times 10 symbols exceeds budget 100"),
+    "attack-r2-order-1": (
+        100, lambda q: attack_r2(ORDER_1, (0,) * 10),
+        "20 leaders times 10 symbols exceeds budget 100"),
+    "histogram-order-1": (
+        100, lambda q: preimage_histogram(OwfSpec(ORDER_1, 10, ())),
+        "20 leaders times 10 symbols exceeds budget 100"),
+    "witness-search-order-1": (
+        100, lambda q: permutation_search(ORDER_1, 10, 1),
+        "21 leaders times 10 symbols exceeds budget 100"),
 }
 
 
@@ -68,6 +84,14 @@ def test_cli_refusal_is_one_error_line(capsys):
                  "--output", "00000", "--budget", "1000"])
     assert code == 1
     assert capsys.readouterr() == ("", "error: branch count 1024 exceeds budget 1000\n")
+
+
+def test_output_value_refusal_is_one_error_line(capsys):
+    # the N output symbols are charged before the string is built
+    code = main(["invert", "--index", "5", "--method", "attack-r2",
+                 "--output-value", "3", "--N", "1001", "--budget", "1000"])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: output of 1001 symbols exceeds budget 1000\n")
 
 
 # each module imports only from modules of a lower rank

@@ -408,25 +408,42 @@ def test_census_output_is_pinned(argv, digest, census_reports, tmp_path, monkeyp
     ["invert", "--index", "5", "--method", "attack-r1", "--N", "-2", "--output-value", "3"],
     ["transform", "--quasigroup", "{non_ascii}", "--index", "5", "--fn", "r1", "--input", "0123"],
     ["transform", "--index", "5", "--fn", "r2", "--input", "{long}"],
+    ["invert", "--index", "5", "--method", "brute", "--output-value", "3", "--N", "100000000"],
+    ["invert", "--index", "5", "--method", "attack-r1", "--output-value", "3", "--N", "100000000"],
+    ["invert", "--index", "5", "--method", "attack-r2", "--output-value", "3", "--N", "100000000"],
+    ["invert", "--quasigroup", "{order1}", "--method", "brute", "--output", "{zeros}"],
+    ["invert", "--quasigroup", "{order1}", "--method", "attack-r2", "--output", "{zeros}"],
+    ["histogram", "--quasigroup", "{order1}", "--N", "3000"],
+    ["search", "--quasigroup", "{order1}", "--N", "3000"],
 ])
 def test_bad_input_exits_without_traceback(argv, tmp_path, capsys, monkeypatch):
     non_ascii = tmp_path / "table.qg"
     non_ascii.write_bytes("4\n0 1 2 3\n1 2 3 \u00e9\n".encode("utf-8"))
-    argv = [a.format(dir=tmp_path, non_ascii=non_ascii, long="0" * 8000) for a in argv]
+    order1 = tmp_path / "order1.qg"
+    order1.write_text("1\n0\n")
+    # refused before their N-symbol string, or the N^2 e-steps of order 1,
+    # which took seconds or ran out of memory
+    quick = "{order1}" in argv or "100000000" in argv
+    argv = [a.format(dir=tmp_path, non_ascii=non_ascii, long="0" * 8000, order1=order1,
+                     zeros="0" * 3000) for a in argv]
     while "=" in argv[0]:       # leading NAME=value items set the environment
         monkeypatch.setenv(*argv.pop(0).split("=", 1))
+    t0 = time.perf_counter()
     try:
         code = main(argv)
     except SystemExit as e:
         code = e.code
+    elapsed = time.perf_counter() - t0
     err = capsys.readouterr().err
     assert code in (1, 2)
     assert err and "Traceback" not in err
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1
-    if "--output-value" in argv:
+    if "--output-value" in argv and int(argv[argv.index("--N") + 1]) < 1:
         # a length below 1 is named, not reported as a value out of a range
         assert (code, err) == (1, "error: N must be at least 1\n")
+    if quick:
+        assert code == 1 and elapsed < 1, (code, elapsed)
 
 
 @pytest.mark.parametrize("command", [
