@@ -253,7 +253,8 @@ def _start_unit(q, motif, width, iterations):
 
 
 def _unit_profile(table, leader, unit, width, iterations):
-    """period_profile without checks, from the start string's unit.
+    """The minimal periods of the iterates of period_profile that are not
+    capped, from the start string's unit, without checks.
 
     If the iterate repeats a unit U of minimal length P, one pass of the
     e-step over U maps the state permutation-wise, and the leader returns
@@ -261,27 +262,30 @@ def _unit_profile(table, leader, unit, width, iterations):
     of c copies of U, and P * c is its minimal period: periods are
     multiples of P (the step is invertible), and a shift by fewer copies
     would start a copy from a different state, hence a different symbol.
+    Periods never decrease, so the list ends at the first iterate whose
+    period passes width / 2: it and every later iterate are capped.
     """
-    points = []
-    capped = False
-    for k in range(1, iterations + 1):
-        if not capped:
-            nxt = []
-            x = leader
-            while True:
-                block = e_row(table, x, unit)
-                nxt += block
-                x = block[-1]
-                least = len(nxt) if x == leader else len(nxt) + len(unit)
-                if 2 * least > width:       # the next period is at least this
-                    capped = True
-                    break
-                if x == leader:
-                    unit = nxt
-                    break
-        points.append(PeriodPoint(k, width, True) if capped
-                      else PeriodPoint(k, len(unit), False))
-    return tuple(points)
+    periods = []
+    for _ in range(iterations):
+        nxt = e_row(table, leader, unit)
+        while True:
+            x = nxt[-1]
+            least = len(nxt) if x == leader else len(nxt) + len(unit)
+            if 2 * least > width:           # the next period is at least this
+                return periods
+            if x == leader:
+                break
+            nxt += e_row(table, x, unit)
+        unit = nxt
+        periods.append(len(unit))
+    return periods
+
+
+def _points(periods, width, iterations):
+    """The PeriodPoint of each iterate from _unit_profile's periods: those
+    listed as they are, every later iterate capped at the width."""
+    return tuple(PeriodPoint(k, periods[k - 1], False) if k <= len(periods)
+                 else PeriodPoint(k, width, True) for k in range(1, iterations + 1))
 
 
 def period_profile(q, leader, motif=(0, 1, 2, 3), width=4096, iterations=32):
@@ -290,7 +294,7 @@ def period_profile(q, leader, motif=(0, 1, 2, 3), width=4096, iterations=32):
     (see PeriodPoint for what is reported)."""
     unit = _start_unit(q, motif, width, iterations)
     q._check(leader)
-    return _unit_profile(q.table, leader, unit, width, iterations)
+    return _points(_unit_profile(q.table, leader, unit, width, iterations), width, iterations)
 
 
 def classify(q, settings=None):
@@ -389,7 +393,9 @@ def census_order4(settings=None):
     and an uncapped period is at most width / 2, so no later leader can
     raise the point, its label or the disagreement check; and as every
     capped point equals PeriodPoint(iterations, width, True), it does not
-    matter which of several capped leaders supplies it.
+    matter which of several capped leaders supplies it. The final periods
+    stay ints, as _unit_profile gives them, and each square gets one
+    PeriodPoint.
     """
     st = settings or ClassifySettings()
     squares = enumerate_order4()
@@ -406,12 +412,15 @@ def census_order4(settings=None):
     witnesses = [found.get(i) for i in range(len(squares))]
     fractal, non_fractal, periods, disagree = [], [], {}, []
     for idx, (q, witness) in enumerate(zip(squares, witnesses), 1):
-        finals = []
+        final = 0
         for l in leaders:
-            finals.append(_unit_profile(q.table, l, unit, st.width, st.iterations)[-1])
-            if finals[-1].capped:
+            uncapped = _unit_profile(q.table, l, unit, st.width, st.iterations)
+            if len(uncapped) < st.iterations:
+                point = PeriodPoint(st.iterations, st.width, True)
                 break
-        point = max(finals, key=lambda p: p.period)
+            final = max(final, uncapped[-1])
+        else:
+            point = PeriodPoint(st.iterations, final, False)
         periods[idx] = point
         (fractal if witness is not None else non_fractal).append(idx)
         if (point.period <= st.threshold) != (witness is not None):

@@ -66,15 +66,18 @@ def _config_lines(title, pairs):
     return "\n".join(lines) + "\n"
 
 
-def _parse_output(args, q, parser):
+def _parse_output(args, q, parser, leaders):
+    """The output string of invert; an --output-value is refused from N,
+    under leaders preprocessing leaders, before its N symbols are built."""
     if args.output_value is not None:
         if args.n is None:
             parser.error("--output-value requires --N")
         if args.n < 1:
             raise LengthMismatch("N must be at least 1")
-        # charged before the string is built, which would take N symbols
         budget.charge(args.n, budget.resolve_budget(args.budget),
                       f"output of {args.n} symbols")
+        inversion.charge_search(args.method, q.order, args.n, leaders,
+                                args.budget, args.first_hit)
         return transforms.unpack_string(args.output_value, q.order, args.n)
     if args.output is None:
         parser.error("one of --output/--output-value is required")
@@ -115,15 +118,15 @@ def _cmd_transform(args, parser):
 
 def _cmd_invert(args, parser):
     q = _load_quasigroup(args, parser)
-    b = _parse_output(args, q, parser)
     if args.method != "brute" and args.leaders is not None:
         parser.error("--leaders applies to --method brute only")
+    leaders = io_formats.parse_leaders(args.leaders or "")
+    b = _parse_output(args, q, parser, len(leaders))
     header = [("quasigroup", args.quasigroup or f"#{args.index}"),
               ("method", args.method), ("n", len(b)),
               ("output", io_formats.serialize_string(b, q.order)),
               ("budget", budget.resolve_budget(args.budget))]
     if args.method == "brute":
-        leaders = io_formats.parse_leaders(args.leaders or "")
         spec = transforms.OwfSpec(q, len(b), leaders)
         trace = inversion.brute_preimages(spec, b, budget=args.budget,
                                           first_hit=args.first_hit)

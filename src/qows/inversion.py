@@ -154,6 +154,28 @@ def _charge_scan(s, n, leaders, budget, what):
     charge_steps(leaders + 2 * n, n, limit)
 
 
+def charge_search(method, s, n, leaders=0, budget=None, first_hit=False):
+    """Refuse, from the output length n alone, what method ("brute",
+    "attack-r1" or "attack-r2") refuses at order s before any work, so that
+    a caller holding only n refuses before it builds an n-symbol string.
+
+    brute charges its domain size under leaders preprocessing leaders, and
+    attack-r2 its branch count, each with one evaluation's e-steps. A full
+    attack-r1 search makes exactly s^ceil(n/3) guesses, charged unless
+    first_hit, and attack-r1 takes outputs of at most MAX_R1_LENGTH symbols.
+    """
+    if method != "attack-r1":
+        _charge_scan(s, n, leaders, budget,
+                     "domain size" if method == "brute" else "branch count")
+        return
+    limit = resolve_budget(budget)
+    g = -(-n // 3)
+    if not first_hit and (over_by_exponent(s, g, limit) or s**g > limit):
+        refuse("guess count", limit)
+    if n > MAX_R1_LENGTH:
+        raise QowsError(f"attack-r1 takes outputs of at most {MAX_R1_LENGTH} symbols, got {n}")
+
+
 def _sweep(q, ids, b, first_hit, t0, notes=()):
     """The AttackTrace of b, of length n, under the family member whose
     preprocessing leaders have the token ids ids, by the column sweep over
@@ -200,7 +222,7 @@ def brute_preimages(spec, b, budget=None, first_hit=False):
     if len(b) != n:
         raise LengthMismatch(f"output length {len(b)} != N = {n}")
     check_string(spec.q, b)
-    _charge_scan(s, n, len(spec.leaders), budget, "domain size")
+    charge_search("brute", s, n, len(spec.leaders), budget)
     return _sweep(spec.q, leader_ids(spec), b, first_hit, t0)
 
 
@@ -462,14 +484,10 @@ def attack_r1(q, b, budget=None, first_hit=False):
     n = len(b)
     notes = _hypothesis_warnings(q)
     s = q.order
+    # refused before the schedule is compiled
+    charge_search("attack-r1", s, n, budget=budget, first_hit=first_hit)
     limit = resolve_budget(budget)
-    # a full search makes exactly s^ceil(n/3) guesses; refuse one over the
-    # budget before compiling its schedule
     g = -(-n // 3)
-    if not first_hit and (over_by_exponent(s, g, limit) or s**g > limit):
-        refuse("guess count", limit)
-    if n > MAX_R1_LENGTH:
-        raise QowsError(f"attack-r1 takes outputs of at most {MAX_R1_LENGTH} symbols, got {n}")
     levels, seeds = _schedule(n)
     table = _r1_table(q)
     inherit, width, reads, *_, out = levels[0]
@@ -509,6 +527,6 @@ def attack_r2(q, b, budget=None, first_hit=False):
     t0 = time.perf_counter()
     b = tuple(b)
     check_string(q, b)
-    _charge_scan(q.order, len(b), 0, budget, "branch count")
+    charge_search("attack-r2", q.order, len(b), budget=budget)
     notes = _hypothesis_warnings(q)
     return _sweep(q, (), b, first_hit, t0, notes)

@@ -5,7 +5,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qows import (
@@ -364,6 +364,46 @@ class TestCensus:
                             lambda *args: calls.append(args[1]) or profile(*args))
         census_order4()
         assert len(calls) == 1160
+
+    def test_period_stage_builds_one_point_per_square(self, monkeypatch):
+        # the engine gives ints; 32 points per profile would be 37,120
+        made = []
+        point = classification.PeriodPoint
+        monkeypatch.setattr(classification, "PeriodPoint",
+                            lambda *args: made.append(args) or point(*args))
+        census_order4()
+        assert len(made) == 576
+
+    def test_unit_profile_lists_the_uncapped_periods(self):
+        table = from_index(47).table
+        # a width of one motif caps the first iterate
+        assert classification._unit_profile(table, 0, [0, 1, 2, 3], 4, 3) == []
+        assert classification._unit_profile(table, 0, [0, 1, 2, 3], 4096, 32) \
+            == data.P47_PROFILE_L0_PREFIX
+        never = classification._unit_profile(from_index(46).table, 0, [0, 1, 2, 3], 4096, 32)
+        assert len(never) == 32 and never[-1] == 128
+
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=4), st.integers(1, 16),
+           st.integers(1, 5), st.one_of(st.none(), st.permutations(range(4))),
+           st.integers(1, 4))
+    @example([0, 1, 2, 3], 1, 3, None, 4)       # width = |motif|: capped at k = 1
+    @example([0, 1, 2, 3], 1024, 3, None, 4)    # never capped
+    @example([0, 1, 0, 1], 4, 4, None, 4)       # unit shorter than the motif
+    @example([2, 1, 3], 8, 5, (2, 0, 1, 3), 2)  # a leader subset
+    @example([0, 1, 2, 3], 16, 1, None, 4)      # one iteration
+    @settings(max_examples=25, deadline=None)
+    def test_periods_match_period_profile(self, motif, copies, iterations, order, count):
+        leaders = None if order is None else tuple(order[:count])
+        st_ = ClassifySettings(iterations=iterations, width=len(motif) * copies,
+                               motif=tuple(motif), leaders=leaders, n=1, max_len=0)
+        report = census_order4(st_)
+        for k, q in enumerate(enumerate_order4(), 1):
+            finals = [period_profile(q, l, st_.motif, st_.width, iterations)[-1]
+                      for l in st_.leaders_for(q)]
+            assert report.periods[k] == max(finals, key=lambda p: p.period)
+        assert report.disagreements == tuple(
+            k for k, p in report.periods.items()
+            if (p.period <= st_.threshold) != (report.witnesses[k] is not None))
 
 
 def relabel(q, sigma):

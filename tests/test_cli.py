@@ -91,6 +91,37 @@ class TestInvert:
         assert body[1] == "guesses 16"
         assert "01230" in body
 
+    @pytest.mark.parametrize("method", ["brute", "attack-r1", "attack-r2"])
+    @pytest.mark.parametrize("square, value, n, extra", [
+        ("5", 3, 5, ["--budget", "1023"]),
+        ("5", 3, 6, ["--budget", "15"]),
+        ("5", 1, 6, ["--budget", "16", "--first-hit"]),
+        ("5", 3, 321, []),
+        ("5", 3, 321, ["--first-hit"]),
+        ("{order1}", 0, 3000, []),
+        ("{order1}", 0, 2896, ["--leaders", "0,0,0"]),
+    ])
+    def test_output_value_is_refused_as_its_string_is(self, capsys, tmp_path, method,
+                                                      square, value, n, extra):
+        # --output-value is refused from N before the string is built; the
+        # outcome must be that of the built string passed as --output
+        order1 = tmp_path / "order1.qg"
+        order1.write_text("1\n0\n")
+        named = (["--quasigroup", str(order1)] if square == "{order1}"
+                 else ["--index", square])
+        string = transforms.unpack_string(value, 1 if square == "{order1}" else 4, n)
+        outcomes = []
+        for given in (["--output-value", str(value), "--N", str(n)],
+                      ["--output", "".join(map(str, string))]):
+            try:
+                code, out, err = run_cli(capsys, "invert", *named, "--method", method,
+                                         *given, *extra)
+            except SystemExit as e:
+                code, out, err = e.code, "", capsys.readouterr().err
+            lines = [l for l in out.splitlines() if not l.startswith("elapsed-ms")]
+            outcomes.append((code, lines, err))
+        assert outcomes[0] == outcomes[1]
+
     def test_attack_r1_budget(self, capsys):
         # square 355 needs 16 guesses for 0320
         argv = ["invert", "--method", "attack-r1", "--index", "355", "--output", "0320"]
@@ -415,6 +446,9 @@ def test_census_output_is_pinned(argv, digest, census_reports, tmp_path, monkeyp
     ["invert", "--quasigroup", "{order1}", "--method", "attack-r2", "--output", "{zeros}"],
     ["histogram", "--quasigroup", "{order1}", "--N", "3000"],
     ["search", "--quasigroup", "{order1}", "--N", "3000"],
+    ["invert", "--index", "5", "--method", "brute", "--output-value", "3", "--N", "10000000"],
+    ["invert", "--index", "5", "--method", "attack-r1", "--output-value", "3", "--N", "10000000"],
+    ["invert", "--index", "5", "--method", "attack-r2", "--output-value", "3", "--N", "10000000"],
 ])
 def test_bad_input_exits_without_traceback(argv, tmp_path, capsys, monkeypatch):
     non_ascii = tmp_path / "table.qg"
@@ -422,8 +456,9 @@ def test_bad_input_exits_without_traceback(argv, tmp_path, capsys, monkeypatch):
     order1 = tmp_path / "order1.qg"
     order1.write_text("1\n0\n")
     # refused before their N-symbol string, or the N^2 e-steps of order 1,
-    # which took seconds or ran out of memory
-    quick = "{order1}" in argv or "100000000" in argv
+    # which took seconds or ran out of memory; at N = 10^7 the string is
+    # within the budget, and the method's own charge refuses it from N
+    quick = "{order1}" in argv or "100000000" in argv or "10000000" in argv
     argv = [a.format(dir=tmp_path, non_ascii=non_ascii, long="0" * 8000, order1=order1,
                      zeros="0" * 3000) for a in argv]
     while "=" in argv[0]:       # leading NAME=value items set the environment
