@@ -63,7 +63,7 @@ import numpy as np
 
 from . import core, transforms
 from .budget import charge, charge_power, charge_steps, over_by_exponent, refuse, resolve_budget
-from .errors import LengthMismatch, QowsError
+from .errors import LengthMismatch, QowsError, SymbolOutOfRange
 from .transforms import blocks, check_string, digit_columns, family_columns, family_steps
 from .transforms import e_columns, flat_table, leader_ids, pack_columns, symbol_dtype
 
@@ -101,7 +101,9 @@ class AttackTrace:
 
 @dataclass
 class PreimageHistogram:
-    """Preimage counts over the whole codomain, in packed-value order."""
+    """Preimage counts over the whole codomain, in packed-value order.
+    preimage_histogram counts in count_dtype(order^n): uint32, or uint64
+    from 2^32 values on."""
 
     counts: np.ndarray
     order: int
@@ -130,6 +132,9 @@ class PreimageHistogram:
         return self.flags()[1]
 
     def count_of(self, value):
+        """The preimage count of the packed value, in [0, order^n)."""
+        if not 0 <= value < len(self.counts):
+            raise SymbolOutOfRange(f"value {value} not in [0, {self.order}^{self.n})")
         return int(self.counts[value])
 
 
@@ -226,17 +231,32 @@ def brute_preimages(spec, b, budget=None, first_hit=False):
     return _sweep(spec.q, leader_ids(spec), b, first_hit, t0)
 
 
+def count_dtype(domain):
+    """The dtype of the counts and packed images of a histogram over a
+    domain of that many values: uint32, or uint64 from 2^32 values on. A
+    count is at most the domain size, and a packed image below it."""
+    return np.dtype(np.uint32 if domain < 1 << 32 else np.uint64)
+
+
+def _count_block(counts, mul, s, n, steps, lo, hi):
+    """Add the images of inputs lo..hi-1 into counts, packed in their
+    dtype. The block's digit rows, image and packed images are gone when
+    it returns, before the next block is built."""
+    image = family_columns(mul, s, steps, digit_columns(lo, hi, s, n, mul.dtype))
+    # a typed one: with a Python int, narrow counts take a slow casting path
+    np.add.at(counts, pack_columns(image, s, counts.dtype), counts.dtype.type(1))
+
+
 def preimage_histogram(spec, budget=None):
-    """Count preimages of every output value by full forward enumeration."""
+    """Count preimages of every output value by full forward enumeration,
+    in count_dtype(s^N), one block of inputs at a time."""
     s, n = spec.q.order, spec.n
     _charge_scan(s, n, len(spec.leaders), budget, "domain size")
     mul = flat_table(spec.q)
     steps = tuple(family_steps(s, n, leader_ids(spec)))
-    counts = np.zeros(s**n, dtype=np.int64)
+    counts = np.zeros(s**n, dtype=count_dtype(s**n))
     for lo, hi in blocks(s**n):
-        inputs = digit_columns(lo, hi, s, n, mul.dtype)
-        image = family_columns(mul, s, steps, inputs)
-        np.add.at(counts, pack_columns(image, s), 1)
+        _count_block(counts, mul, s, n, steps, lo, hi)
     return PreimageHistogram(counts=counts, order=s, n=n)
 
 

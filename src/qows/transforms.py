@@ -382,9 +382,10 @@ def digit_columns(lo, hi, base, n, dtype):
     return out
 
 
-def pack_columns(state, base):
-    """pack_string of every column of state, as intp."""
-    packed = np.zeros(state.shape[1], dtype=np.intp)
+def pack_columns(state, base, dtype=np.intp):
+    """pack_string of every column of state, as dtype (which must hold
+    base^n - 1 for the n rows of state)."""
+    packed = np.zeros(state.shape[1], dtype=dtype)
     for row in state:
         packed *= base
         packed += row

@@ -22,6 +22,7 @@ from qows import (
     PreimageHistogram,
     QowsError,
     Quasigroup,
+    SymbolOutOfRange,
     attack_r1,
     attack_r2,
     brute_preimages,
@@ -36,6 +37,7 @@ from qows import (
     serialize_histogram,
     unpack_string,
 )
+from qows.inversion import count_dtype
 
 import data
 from oracles import (reference_attack_r1, reference_attack_r2, reference_histogram,
@@ -593,11 +595,62 @@ class TestHistogram:
         monkeypatch.setattr(tr, "CHUNK_COLUMNS", columns)
         tracemalloc.start()
         try:
-            preimage_histogram(spec)
+            counts = preimage_histogram(spec).counts
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - 8 * 4**8 < 64 * columns + 32 * 1024
+        assert peak - counts.nbytes < 64 * columns + 32 * 1024
+
+    def test_scan_beyond_the_counts_is_at_most_4_mib(self):
+        # 16^5: a block of 2^18 inputs holds its digit rows, the state and
+        # the images packed in uint32, one block at a time; a block kept
+        # alive while the next is built passes 4 MiB (4.7 MB), as the int64
+        # scan did (4.8 MB)
+        import tracemalloc
+        spec = OwfSpec(random_latin(16, 12345), 5, (Const(3), Index(1)))
+        preimage_histogram(spec)
+        tracemalloc.start()
+        try:
+            counts = preimage_histogram(spec).counts
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.dtype == np.uint32 and int(counts.sum()) == 16**5
+        assert peak - counts.nbytes <= 4 * 2**20
+
+    def test_count_dtype_turns_wide_at_2_to_the_32(self, monkeypatch):
+        # a count is at most the domain size and a packed value below it
+        assert count_dtype(1) == count_dtype(2**32 - 1) == np.uint32
+        assert count_dtype(2**32) == count_dtype(3**40) == np.uint64
+        # 256^4 = 2^32 values, the first uint64 domain, is far past the
+        # default budget
+        monkeypatch.delenv("QOWS_BUDGET", raising=False)
+        q = Quasigroup(data.shuffled_cyclic(256, random.Random(256)))
+        with pytest.raises(BudgetExceeded):
+            preimage_histogram(OwfSpec(q, 4, ()))
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+    def test_uint32_counts_match_the_reference(self, order, monkeypatch):
+        # blocks of 7 inputs, so every domain but order 1's has many, each
+        # packed straight into the uint32 counts
+        import qows.transforms as tr
+        q = random_latin(order, order)
+        n = {1: 5, 2: 6, 3: 4, 4: 4, 5: 3, 6: 3}[order]
+        monkeypatch.setattr(tr, "CHUNK_COLUMNS", 7)
+        for leaders in [(), (Const(order - 1),), (Index(n - 1), Const(0), Index(0))]:
+            spec = OwfSpec(q, n, leaders)
+            counts = preimage_histogram(spec).counts
+            assert counts.dtype == np.uint32
+            assert np.array_equal(counts, reference_histogram(spec))
+
+    def test_wide_counts_match_the_reference(self, ref_square, monkeypatch):
+        # the uint64 path, taken from 2^32 values on, on a small domain
+        import qows.inversion as inv
+        monkeypatch.setattr(inv, "count_dtype", lambda domain: np.dtype(np.uint64))
+        spec = OwfSpec(ref_square, 4, (Const(2), Index(3)))
+        counts = preimage_histogram(spec).counts
+        assert counts.dtype == np.uint64
+        assert np.array_equal(counts, reference_histogram(spec))
 
     @pytest.mark.parametrize("counts, flags", [
         ([1] * 16, (True, True)),                       # permutation
@@ -626,6 +679,13 @@ class TestHistogram:
         assert hist.is_regular
         assert sorted(hist.counts.tolist()) == [0] * 8 + [2] * 8
         assert hist.count_of(11) == 2 and hist.count_of(2) == 0
+
+    def test_count_of_takes_only_values_of_the_domain(self, ref_square):
+        hist = preimage_histogram(OwfSpec(ref_square, 2, (Const(1),)))
+        assert [hist.count_of(v) for v in (0, 15)] == hist.counts[[0, 15]].tolist()
+        for value in (-1, 16, 4**3):
+            with pytest.raises(SymbolOutOfRange, match=rf"^value {value} not in \[0, 4\^2\)$"):
+                hist.count_of(value)
 
     def test_order_one_trivial(self):
         from qows import Quasigroup

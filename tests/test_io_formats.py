@@ -337,19 +337,21 @@ class TestReportSerialization:
     def test_histogram_blocks_match_reference(self, columns):
         # blocks of one to a few entries: numbers across 10^4 and 10^8,
         # 1-, 2- and 5-digit counts side by side, zero runs longer than a
-        # block, value 0 hit, and both sides of the 4096-entry listing rule
+        # block, value 0 hit, and both sides of the 4096-entry listing rule;
+        # in int64 and in the uint32 that preimage_histogram counts in
         import qows.transforms as tr
         cases = []
-        counts = np.zeros(101**2, np.int64)     # values 0..10200
-        counts[[0, 9998, 9999, 10000, 10001, 10200]] = [
-            7, 9999, 10000, 99_999_999, 100_000_000, 1]
-        cases.append(PreimageHistogram(counts=counts, order=101, n=2))
-        for order in (4096, 4097):
-            counts = np.zeros(order, np.int64)
-            counts[:6] = [3, 42, 12345, 0, 1, 10]
-            counts[200:203] = [99, 5, 10**4]
-            counts[-1] = 2
-            cases.append(PreimageHistogram(counts=counts, order=order, n=1))
+        for dtype in (np.int64, np.uint32):
+            counts = np.zeros(101**2, dtype)    # values 0..10200
+            counts[[0, 9998, 9999, 10000, 10001, 10200]] = [
+                7, 9999, 10000, 99_999_999, 100_000_000, 1]
+            cases.append(PreimageHistogram(counts=counts, order=101, n=2))
+            for order in (4096, 4097):
+                counts = np.zeros(order, dtype)
+                counts[:6] = [3, 42, 12345, 0, 1, 10]
+                counts[200:203] = [99, 5, 10**4]
+                counts[-1] = 2
+                cases.append(PreimageHistogram(counts=counts, order=order, n=1))
         with mock.patch("qows.transforms.CHUNK_COLUMNS", columns or tr.CHUNK_COLUMNS):
             got = [serialize_histogram(hist) for hist in cases]
         assert got == [reference_histogram_text(hist) for hist in cases]

@@ -32,6 +32,7 @@ from qows import (
     unpack_string,
 )
 from qows import transforms
+from qows.inversion import count_dtype
 from qows.transforms import (
     blocks,
     digit_columns,
@@ -423,6 +424,9 @@ class TestFamilyColumns:
         assert cols.flags.c_contiguous and cols.flags.writeable
         assert _columns(cols) == [unpack_string(v, order, n) for v in range(lo, hi)]
         assert pack_columns(cols, order).tolist() == list(range(lo, hi))
+        # packed straight into a histogram's counts dtype (uint64 at 300^4)
+        packed = pack_columns(cols, order, count_dtype(total))
+        assert packed.dtype == count_dtype(total) and packed.tolist() == list(range(lo, hi))
 
 
 @given(st.integers(0, 10**6), st.integers(1, 2**40), st.sampled_from([1, 7, 64, None]))
