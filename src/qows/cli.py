@@ -6,6 +6,7 @@ subcommands echo their effective configuration as '#' header lines; plain
 value-producing ones print the bare result.
 """
 import argparse
+import contextlib
 import functools
 import itertools
 import sys
@@ -34,30 +35,24 @@ def _budget(text):
     return value
 
 
-def _load_quasigroup(args, parser):
+def _load_quasigroup(args):
     if args.index is not None:
         return core.from_index(args.index)
-    if args.quasigroup is None:
-        parser.error("one of --quasigroup/--index is required")
     return io_formats.parse_quasigroup(_read(args.quasigroup))
 
 
-def _emit(args, pieces=(), data=None):
-    """Write to --out, else stdout: the bytes data, or else the str
-    pieces in order, each written as it comes, so the pieces of a
-    generator are never held together."""
-    if data is not None:
-        if args.out:
-            with open(args.out, "wb") as fh:
-                fh.write(data)
-        else:
-            sys.stdout.buffer.write(data)
-        return
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.writelines(pieces)
-    else:
-        sys.stdout.writelines(pieces)
+def _emit(args, pieces):
+    """Write the pieces in order to --out, else to stdout's bytes, each as
+    it comes, so the pieces of a generator are never held together. Bytes
+    go out as they are; str goes out as ASCII, the formats' alphabet, with
+    any other character (an echoed path's) backslash-escaped."""
+    sys.stdout.flush()      # whatever the text layer holds goes first
+    with (open(args.out, "wb") if args.out
+          else contextlib.nullcontext(sys.stdout.buffer)) as fh:
+        for piece in pieces:
+            fh.write(piece.encode("ascii", "backslashreplace")
+                     if isinstance(piece, str) else piece)
+        fh.flush()          # a closed stdout fails here, as an error line
 
 
 def _config_lines(title, pairs):
@@ -79,8 +74,6 @@ def _parse_output(args, q, parser, leaders):
         inversion.charge_search(args.method, q.order, args.n, leaders,
                                 args.budget, args.first_hit)
         return transforms.unpack_string(args.output_value, q.order, args.n)
-    if args.output is None:
-        parser.error("one of --output/--output-value is required")
     b = io_formats.parse_string(args.output, q.order)
     if args.n is not None and args.n != len(b):
         parser.error(f"--N {args.n} does not match output length {len(b)}")
@@ -95,12 +88,16 @@ def _constant_leaders(text, parser, what):
 
 
 def _cmd_transform(args, parser):
-    q = _load_quasigroup(args, parser)
-    a = io_formats.parse_string(args.input, q.order)
     fn = "rN" if args.fn == "rn" else args.fn
+    if args.leader is not None and fn != "e":
+        parser.error("--leader applies to --fn e only")
+    if args.leaders is not None and fn not in ("E", "rN"):
+        parser.error("--leaders applies to --fn E and rN only")
+    if fn == "e" and args.leader is None:
+        parser.error("--fn e requires --leader")
+    q = _load_quasigroup(args)
+    a = io_formats.parse_string(args.input, q.order)
     if fn == "e":
-        if args.leader is None:
-            parser.error("--fn e requires --leader")
         out = transforms.e_transform(q, args.leader, a)
     elif fn == "E":
         consts = _constant_leaders(args.leaders or "", parser, "--fn E")
@@ -117,7 +114,7 @@ def _cmd_transform(args, parser):
 
 
 def _cmd_invert(args, parser):
-    q = _load_quasigroup(args, parser)
+    q = _load_quasigroup(args)
     if args.method != "brute" and args.leaders is not None:
         parser.error("--leaders applies to --method brute only")
     leaders = io_formats.parse_leaders(args.leaders or "")
@@ -144,7 +141,7 @@ def _cmd_invert(args, parser):
 
 
 def _cmd_histogram(args, parser):
-    q = _load_quasigroup(args, parser)
+    q = _load_quasigroup(args)
     leaders = io_formats.parse_leaders(args.leaders or "")
     spec = transforms.OwfSpec(q, args.n, leaders)
     hist = inversion.preimage_histogram(spec, budget=args.budget)
@@ -159,7 +156,7 @@ def _cmd_histogram(args, parser):
 
 
 def _cmd_search(args, parser):
-    q = _load_quasigroup(args, parser)
+    q = _load_quasigroup(args)
     witness = classification.permutation_search(
         q, args.n, args.max_leader_len, include_indices=args.include_indices,
         budget=args.budget)
@@ -167,24 +164,16 @@ def _cmd_search(args, parser):
     return 0
 
 
-def _census_settings(args):
-    return classification.ClassifySettings(
-        n=args.n, max_len=args.max_leader_len,
-        include_indices=args.include_indices)
-
-
 def _cmd_census(args, parser):
-    report = classification.census_order4(settings=_census_settings(args))
-    if args.json:
-        _emit(args, [io_formats.serialize_census_json(report)])
-        return 0
-    _emit(args, [_config_lines("census", []),
-                 io_formats.serialize_census_report(report)])
+    report = classification.census_order4(settings=classification.ClassifySettings(
+        n=args.n, max_len=args.max_leader_len, include_indices=args.include_indices))
+    _emit(args, [io_formats.serialize_census_json(report)] if args.json else
+          [_config_lines("census", []), io_formats.serialize_census_report(report)])
     return 0
 
 
 def _cmd_classify(args, parser):
-    q = _load_quasigroup(args, parser)
+    q = _load_quasigroup(args)
     motif = io_formats.parse_string(args.motif, q.order)
     leaders = (None if args.leaders is None else
                _constant_leaders(args.leaders, parser, "--leaders"))
@@ -211,11 +200,11 @@ def _cmd_classify(args, parser):
 
 
 def _cmd_render(args, parser):
-    q = _load_quasigroup(args, parser)
+    q = _load_quasigroup(args)
     motif = io_formats.parse_string(args.motif, q.order)
     data = io_formats.render_iterations(q, args.leader, motif, args.width,
                                         args.iterations, text=args.text)
-    _emit(args, data=data)
+    _emit(args, [data])
     return 0
 
 
@@ -227,9 +216,9 @@ def _cmd_gen(args, parser):
 
 def _add_common(sp, quasigroup=True):
     """--out, and with quasigroup the two ways to name a square,
-    --quasigroup and --index, of which at most one may be given."""
+    --quasigroup and --index, of which exactly one must be given."""
     if quasigroup:
-        named = sp.add_mutually_exclusive_group()
+        named = sp.add_mutually_exclusive_group(required=True)
         named.add_argument("--quasigroup", metavar="FILE",
                            help="quasigroup table file")
         named.add_argument("--index", type=int, metavar="K",
@@ -253,16 +242,17 @@ def build_parser():
                     choices=["e", "E", "r1", "r2", "rN", "rn"])
     sp.add_argument("--input", required=True, help="input string")
     sp.add_argument("--leader", type=int, help="constant leader for --fn e")
-    sp.add_argument("--leaders", help="leader string, e.g. 3,3,i1,i0")
+    sp.add_argument("--leaders", help="leader string for --fn E or rN, e.g. 3,3,i1,i0")
     sp.set_defaults(run=_cmd_transform)
 
     sp = sub.add_parser("invert", help="find preimages of an output string")
     _add_common(sp)
     sp.add_argument("--method", required=True,
                     choices=["brute", "attack-r1", "attack-r2"])
-    sp.add_argument("--output", help="output string B")
-    sp.add_argument("--output-value", type=int,
-                    help="output as a packed base-s value (requires --N)")
+    given = sp.add_mutually_exclusive_group(required=True)
+    given.add_argument("--output", help="output string B")
+    given.add_argument("--output-value", type=int,
+                       help="output as a packed base-s value (requires --N)")
     sp.add_argument("--N", dest="n", type=int, help="string length")
     sp.add_argument("--leaders", help="leader string for --method brute")
     sp.add_argument("--budget", type=_budget, help="evaluation/branch cap")

@@ -502,10 +502,10 @@ def attack_r1(q, b, budget=None, first_hit=False):
     b = tuple(b)
     check_string(q, b)
     n = len(b)
-    notes = _hypothesis_warnings(q)
     s = q.order
-    # refused before the schedule is compiled
+    # refused before the O(s^3) structure probe and the schedule compile
     charge_search("attack-r1", s, n, budget=budget, first_hit=first_hit)
+    notes = _hypothesis_warnings(q)
     limit = resolve_budget(budget)
     g = -(-n // 3)
     levels, seeds = _schedule(n)

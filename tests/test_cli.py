@@ -65,6 +65,22 @@ class TestTransform:
                     "--fn", "e", "--input", "01230")
         assert ei.value.code == 2
 
+    @pytest.mark.parametrize("fn, option, message", [
+        ("r1", ["--leader", "2"], "--leader applies to --fn e only"),
+        ("E", ["--leader", "2", "--leaders", "1,2"], "--leader applies to --fn e only"),
+        ("rN", ["--leader", "2"], "--leader applies to --fn e only"),
+        ("e", ["--leader", "2", "--leaders", "1,2"], "--leaders applies to --fn E and rN only"),
+        ("r1", ["--leaders", "1,2"], "--leaders applies to --fn E and rN only"),
+        ("r2", ["--leaders", "1,2"], "--leaders applies to --fn E and rN only"),
+    ])
+    def test_stray_leader_option_is_usage_error(self, capsys, fn, option, message):
+        # an option the function does not read would otherwise be ignored
+        with pytest.raises(SystemExit) as ei:
+            run_cli(capsys, "transform", "--index", "355", "--fn", fn,
+                    "--input", "0123", *option)
+        assert ei.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_bad_symbol_is_domain_error(self, capsys, ref_square_file):
         code, _, err = run_cli(capsys, "transform", "--quasigroup", ref_square_file,
                                "--fn", "e", "--leader", "9", "--input", "01230")
@@ -235,13 +251,14 @@ class TestReportCommands:
 
         sizes = []
 
-        class Pieces(io.StringIO):
+        class Pieces(io.BytesIO):
             def write(self, piece):
                 sizes.append(len(piece))
                 return super().write(piece)
-        monkeypatch.setattr(sys, "stdout", Pieces())
+        pieces = Pieces()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(pieces, encoding="ascii"))
         assert main(argv) == 0
-        assert sys.stdout.getvalue() == want
+        assert pieces.getvalue() == want.encode("ascii")
         # after the header and the flag lines
         assert len(sizes) > 20 and max(sizes[2:]) <= columns
 
@@ -491,6 +508,40 @@ def test_quasigroup_and_index_together_are_a_usage_error(command, tmp_path, caps
         main([command, "--quasigroup", str(table), "--index", "5"])
     assert e.value.code == 2
     assert "not allowed with argument --quasigroup" in capsys.readouterr().err
+
+
+def test_invert_output_and_output_value_together_are_a_usage_error(capsys):
+    # one of the two would otherwise be ignored in favour of the other
+    with pytest.raises(SystemExit) as e:
+        main(["invert", "--index", "355", "--method", "attack-r2",
+              "--output", "0123", "--output-value", "5", "--N", "2"])
+    assert e.value.code == 2
+    assert "not allowed with argument --output" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify"],
+    ["invert", "--method", "attack-r2", "--output", "0123"],
+    ["histogram", "--N", "2"],
+])
+@pytest.mark.parametrize("to", ["out", "stdout"])
+def test_non_ascii_path_is_echoed_escaped(argv, to, tmp_path, monkeypatch):
+    # the records are ASCII: a path they echo is escaped, never a traceback
+    # or an empty file, whether to --out or to an ASCII-only stdout
+    table = tmp_path / "sq_\u00f1.qg"
+    table.write_text(serialize_quasigroup(from_index(355)))
+    argv = [argv[0], "--quasigroup", str(table), *argv[1:]]
+    if to == "out":
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        record = (tmp_path / "out").read_bytes()
+    else:
+        stdout = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(stdout, encoding="ascii"))
+        assert main(argv) == 0
+        record = stdout.getvalue()
+    assert record.isascii()
+    escaped = str(table).replace("\u00f1", "\\xf1")
+    assert f"# quasigroup {escaped}\n".encode("ascii") in record
 
 
 def test_benchmark_tracer_finds_the_names_it_rebinds(capsys):

@@ -112,6 +112,18 @@ class TestBudget:
         with pytest.raises(AssertionError, match="structure probe reached"):
             attack_r2(z300, (0,), budget=300)
 
+    def test_attack_r1_charges_before_the_probe(self, monkeypatch):
+        def probe(q):
+            raise AssertionError("structure probe reached")
+
+        monkeypatch.setattr("qows.core.algebraic_probe", probe)
+        z300 = Quasigroup([[(u + v) % 300 for v in range(300)] for u in range(300)])
+        with pytest.raises(BudgetExceeded, match="guess count"):
+            attack_r1(z300, (0,) * 9, budget=10)
+        # control: within the budget the patched probe is the one called
+        with pytest.raises(AssertionError, match="structure probe reached"):
+            attack_r1(z300, (0,), budget=300)
+
     def test_histogram_budget_exceeded(self, ref_square):
         with pytest.raises(BudgetExceeded):
             preimage_histogram(OwfSpec(ref_square, 5, ()), budget=100)
