@@ -236,17 +236,22 @@ def build_parser():
                     "order-4 census.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("transform", help="apply a transformation to a string")
-    _add_common(sp)
+    def command(name, run, help, quasigroup=True):
+        # the handler gets its own subparser, so that a usage error it
+        # raises prints that command's usage and names it
+        sp = sub.add_parser(name, help=help)
+        _add_common(sp, quasigroup)
+        sp.set_defaults(run=run, parser=sp)
+        return sp
+
+    sp = command("transform", _cmd_transform, "apply a transformation to a string")
     sp.add_argument("--fn", required=True,
                     choices=["e", "E", "r1", "r2", "rN", "rn"])
     sp.add_argument("--input", required=True, help="input string")
     sp.add_argument("--leader", type=int, help="constant leader for --fn e")
     sp.add_argument("--leaders", help="leader string for --fn E or rN, e.g. 3,3,i1,i0")
-    sp.set_defaults(run=_cmd_transform)
 
-    sp = sub.add_parser("invert", help="find preimages of an output string")
-    _add_common(sp)
+    sp = command("invert", _cmd_invert, "find preimages of an output string")
     sp.add_argument("--method", required=True,
                     choices=["brute", "attack-r1", "attack-r2"])
     given = sp.add_mutually_exclusive_group(required=True)
@@ -258,35 +263,27 @@ def build_parser():
     sp.add_argument("--budget", type=_budget, help="evaluation/branch cap")
     sp.add_argument("--first-hit", action="store_true",
                     help="stop at the first preimage (benchmarking)")
-    sp.set_defaults(run=_cmd_invert)
 
-    sp = sub.add_parser("histogram", help="preimage histogram of a family member")
-    _add_common(sp)
+    sp = command("histogram", _cmd_histogram, "preimage histogram of a family member")
     sp.add_argument("--N", dest="n", type=int, required=True)
     sp.add_argument("--leaders", help="leader string")
     sp.add_argument("--budget", type=_budget)
-    sp.set_defaults(run=_cmd_histogram)
 
-    sp = sub.add_parser("search", help="bounded search for a permutation witness")
-    _add_common(sp)
+    sp = command("search", _cmd_search, "bounded search for a permutation witness")
     sp.add_argument("--N", dest="n", type=int, required=True)
     sp.add_argument("--max-leader-len", type=int, default=4)
     sp.add_argument("--include-indices", action="store_true",
                     help="allow index leaders in the search alphabet")
     sp.add_argument("--budget", type=_budget)
-    sp.set_defaults(run=_cmd_search)
 
-    sp = sub.add_parser("census", help="classify all 576 order-4 quasigroups")
-    _add_common(sp, quasigroup=False)
+    sp = command("census", _cmd_census, "classify all 576 order-4 quasigroups", quasigroup=False)
     sp.add_argument("--N", dest="n", type=int, default=2)
     sp.add_argument("--max-leader-len", type=int, default=4)
     sp.add_argument("--include-indices", action="store_true")
     sp.add_argument("--json", action="store_true",
                     help="machine-readable export")
-    sp.set_defaults(run=_cmd_census)
 
-    sp = sub.add_parser("classify", help="period-growth classification")
-    _add_common(sp)
+    sp = command("classify", _cmd_classify, "period-growth classification")
     sp.add_argument("--alpha", type=int, default=4)
     sp.add_argument("--iterations", type=int, default=32)
     sp.add_argument("--width", type=int, default=4096)
@@ -295,31 +292,25 @@ def build_parser():
     sp.add_argument("--N", dest="n", type=int, default=2)
     sp.add_argument("--max-leader-len", type=int, default=4)
     sp.add_argument("--include-indices", action="store_true")
-    sp.set_defaults(run=_cmd_classify)
 
-    sp = sub.add_parser("render", help="render iterated transformations as a pixmap")
-    _add_common(sp)
+    sp = command("render", _cmd_render, "render iterated transformations as a pixmap")
     sp.add_argument("--leader", type=int, default=0)
     sp.add_argument("--motif", default="0123")
     sp.add_argument("--width", type=int, default=600)
     sp.add_argument("--iterations", type=int, default=599)
     sp.add_argument("--text", action="store_true", help="text pixmap (P3)")
-    sp.set_defaults(run=_cmd_render)
 
-    sp = sub.add_parser("gen", help="generate a random quasigroup table")
-    _add_common(sp, quasigroup=False)
+    sp = command("gen", _cmd_gen, "generate a random quasigroup table", quasigroup=False)
     sp.add_argument("--order", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0, help="deterministic RNG seed")
-    sp.set_defaults(run=_cmd_gen)
 
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.run(args, parser)
+        return args.run(args, args.parser)
     except (QowsError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

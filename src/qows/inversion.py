@@ -20,11 +20,15 @@ length into a schedule, level by level, and every branch that meets no
 contradiction makes the same reads at a level. A check that re-reads a
 relation already used on the branch (a cell was derived through it, or an
 earlier check passed) cannot fail; only the others, the closing checks,
-can kill a branch. Between closing checks, reads that do not depend on
-each other form one wavefront. The attack runs the schedule on many
-branches at once: they are the columns of one array, and each wavefront
-is one take over all of them. A closing check that fails drops its
-columns.
+can kill a branch. The attack runs the schedule on many branches at
+once: they are the columns of one array. Reads that do not depend on
+each other form one wavefront. Four sets or more of one wavefront and
+kind, as the output row's level has, are one take over all of them;
+fewer, as past that level nearly always, are three numpy calls a set on
+rows of the array. The checks that cannot fail are still read, in one take just
+before each closing check and at the end of the level, so a branch that
+a closing check kills has made exactly the reads before it. A closing
+check that fails drops its columns.
 
 Only the last level can kill a branch. With g guesses there are exactly
 g closing checks: the N^2 unknown cells of rows 0..N-1 are g guesses and
@@ -289,18 +293,23 @@ def _schedule(n):
     branch assigned through or checked cannot fail; only the others, the
     closing checks, can.
 
-    A level (inherit, width, reads, ops, steps, out) works on the rows of
+    A level (inherit, width, reads, program, out) works on the rows of
     an array of width rows, one cell each: the inherit cells the level
     needs from earlier levels, then its guessed cell, then the cells it
-    sets. It makes reads table reads. ops holds them as (x, y, kind, c) on
-    rows, grouped into steps (k, lo, hi, sets): ops[lo:hi] are read at
-    once. A closing check, the k-th read of the level, is a step of its
-    own and kills the branch unless x * y is row c. Between closing checks
-    (k = 0), a step is a wavefront: reads whose rows are all set before
-    it, the sets that assign row c first, then checks that cannot fail,
-    which are read but not compared. out are the rows later levels need,
-    in the order of the next level's inherited rows; after the last level,
-    the input row. seeds are the output-row cells level 0 inherits.
+    sets. It makes reads table reads, in the steps (k, x, y, kind, c) of
+    its program (_program), in order:
+      k = 0    one read sets row c to the entry (row x, row y) of the
+               multiplication, left- or right-division table by kind;
+      k > 0    a closing check, the k-th read of the level, kills the
+               branch unless x * y is row c;
+      k = -1   several reads of one kind in one take, x and y arrays of
+               rows: 4 sets or more of a wavefront, reads whose rows are
+               all set before it, c the rows set; or, with kind _MUL and
+               c None, the checks that cannot fail since the closing check
+               before, read but not compared.
+    out are the rows later levels need, in the order of the next level's
+    inherited rows; after the last level, the input row. seeds are the
+    output-row cells level 0 inherits.
     """
     cells = (n + 1) * n
     by_cell = [[] for _ in range(cells)]
@@ -365,73 +374,91 @@ def _schedule(n):
                  for w in ((x, y, c) if closing else (x, y))}
         inherit = sorted((set(need) | reads).difference(guess, sets))
         at = {c: r for r, c in enumerate(inherit + guess + sets)}
-        levels.append((len(inherit), len(at), len(ops), *_wavefronts(ops, at),
+        levels.append((len(inherit), len(at), len(ops), _program(ops, at),
                        np.array([at[c] for c in need], dtype=np.intp)))
         need = inherit
     # the shape attack_r1 counts on (see the module docstring): ceil(n/3)
     # guess levels, and no closing check before the last, levels[0] here
     assert len(levels) == 1 + -(-n // 3) and not any(
-        step[0] for level in levels[1:] for step in level[4]), n
+        step[0] > 0 for level in levels[1:] for step in level[3]), n
     return tuple(levels[::-1]), tuple(need)
 
 
-def _wavefronts(ops, at):
-    """(ops, steps) of one level (see _schedule) from its reads in order,
-    each (kind, x, y, c, closing, front), on the rows at of its cells."""
-    # within a front, the reads that set a row first
-    order = sorted(range(len(ops)), key=lambda i: (ops[i][5], ops[i][0] == _CHECK))
-    reads, steps, last = [], [], None
-    for i in order:
-        kind, x, y, c, closing, front = ops[i]
-        if front != last:
-            steps.append([i + 1 if closing else 0, len(reads), len(reads), 0])
-            last = front
-        steps[-1][2] += 1
-        if kind == _CHECK:
-            reads.append((at[x], at[y], _MUL, at[c] if closing else -1))
-        else:
-            steps[-1][3] += 1
-            reads.append((at[x], at[y], kind, at[c]))
-    reads = np.array(reads, dtype=np.intp).reshape(-1, 4)
-    reads.flags.writeable = False
-    return reads, tuple(map(tuple, steps))
+def _program(ops, at):
+    """The run program of one level (see _schedule) from its reads in
+    order, each (kind, x, y, c, closing, front), on the rows at of its cells.
+
+    The reads between two closing checks, and after the last, form a
+    segment: its sets by wavefront and kind, a step a set where fewer than
+    4 share both, then its checks that cannot fail in one step, then the
+    closing check that ends it."""
+    program, fronts, checks = [], {}, []
+    # a closing sentinel ends the last segment
+    for i, (kind, x, y, c, closing, front) in enumerate(ops + [(_MUL, 0, 0, 0, True, 0)]):
+        if not closing:
+            if kind == _CHECK:
+                checks.append((at[x], at[y]))
+            else:
+                fronts.setdefault((front, kind), []).append((at[x], at[y], at[c]))
+            continue
+        for (_, how), sets in sorted(fronts.items()):
+            # below 4 sets, three numpy calls a set beat one fancy take
+            if len(sets) < 4:
+                program += [(0, x, y, how, c) for x, y, c in sets]
+            else:
+                xs, ys, cs = (np.array(rows, dtype=np.intp) for rows in zip(*sets))
+                program.append((-1, xs, ys, how, cs))
+        if checks:
+            xs, ys = (np.array(rows, dtype=np.intp) for rows in zip(*checks))
+            program.append((-1, xs, ys, _MUL, None))
+        if i < len(ops):
+            program.append((i + 1, at[x], at[y], _MUL, at[c]))
+        fronts, checks = {}, []
+    return tuple(program)
 
 
 def _r1_table(q):
     """q's multiplication, left- and right-division tables, each flattened
     (entry u * s + v) to symbol_dtype and laid end to end in that order:
     the table attack_r1 reads, that of op kind k at offset k * s * s."""
-    dtype = symbol_dtype(q.order)
-    return np.concatenate([np.array(t, dtype).ravel()
-                           for t in (q.table, q._ldiv, q._rdiv)])
+    return np.array((q.table, q._ldiv, q._rdiv), symbol_dtype(q.order)).ravel()
 
 
 def _propagate(cols, level, s, table):
-    """Run a level's steps on the branches in the columns of cols, one take
-    over the live columns per step.
+    """Run a level's program on the branches in the columns of cols: a step
+    that reads one cell makes three numpy calls on rows of cols, one that
+    reads several makes one take, or one per CHUNK_COLUMNS / 32 reads.
 
     Returns the live columns, the index of each among those given, and an
     array holding, for each dead column, the table reads it made up to and
     including the check that killed it (-1 for a live one).
     """
-    x, y, kind, c = level[3].T
-    off = kind[:, None] * (s * s)
+    part = tuple(table.reshape(3, s * s))
     keep = np.arange(cols.shape[1])
-    died = np.full(keep.size, -1)
-    for k, lo, hi, sets in level[4]:
-        # index arithmetic in intp: a uint8 row times order would wrap
-        idx = np.multiply(cols[x[lo:hi]], s, dtype=np.intp)
-        idx += cols[y[lo:hi]]
-        idx += off[lo:hi]
-        got = table.take(idx)
-        if not k:
-            cols[c[lo:lo + sets]] = got[:sets]
+    # index arithmetic in intp: a uint8 row times order would wrap
+    died, idx = np.full(keep.size, -1), np.empty(keep.size, np.intp)
+    for k, x, y, kind, c in level[3]:
+        if k < 0:
+            # at most CHUNK_COLUMNS / 32 reads a take, so that its two intp
+            # arrays hold no more bytes than a block may hold cells
+            for lo, hi in blocks(len(x), 32 * cols.shape[1]):
+                got = part[kind].take(np.multiply(cols[x[lo:hi]], s, dtype=np.intp)
+                                      + cols[y[lo:hi]])
+                if c is not None:
+                    cols[c[lo:hi]] = got
             continue
-        ok = got[0] == cols[c[lo]]
+        np.multiply(cols[x], s, out=idx, dtype=np.intp)
+        idx += cols[y]
+        if not k:
+            # clip: the index is in range, and a take that may raise
+            # buffers its out
+            part[kind].take(idx, out=cols[c], mode="clip")
+            continue
+        ok = part[_MUL].take(idx) == cols[c]
         if ok.all():
             continue
         died[keep[~ok]] = k
-        keep, cols = keep[ok], cols[:, ok]
+        keep, cols, idx = keep[ok], cols[:, ok], idx[ok]
         if not keep.size:
             break
     return cols, keep, died
@@ -449,7 +476,9 @@ def _leaves(parents, levels, s, table, reach, j=1):
     head at least reach leaves, as many as a search that stops within reach
     leaves gets to. Its blocks of parents are blocks(total, 2 * width * s),
     width that of level j, so that a block grown and the copy a check that
-    kills some of it makes fit in CHUNK_COLUMNS cells.
+    kills some of it makes fit in CHUNK_COLUMNS cells. A block's columns
+    hold level j's rows (see _schedule): its parents' out rows as the
+    inherit rows, then the guess, then the rows its program sets.
     """
     inherit, width, *_, out = levels[j]
     total = min(parents.shape[1], -(-reach // s ** (len(levels) - j)))

@@ -79,7 +79,10 @@ class TestTransform:
             run_cli(capsys, "transform", "--index", "355", "--fn", fn,
                     "--input", "0123", *option)
         assert ei.value.code == 2
-        assert message in capsys.readouterr().err
+        # the usage and the error name the command, as argparse's own do
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qows transform [-h]"), err
+        assert f"\nqows transform: error: {message}\n" in err
 
     def test_bad_symbol_is_domain_error(self, capsys, ref_square_file):
         code, _, err = run_cli(capsys, "transform", "--quasigroup", ref_square_file,
@@ -508,6 +511,25 @@ def test_quasigroup_and_index_together_are_a_usage_error(command, tmp_path, caps
         main([command, "--quasigroup", str(table), "--index", "5"])
     assert e.value.code == 2
     assert "not allowed with argument --quasigroup" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["invert", "--method", "attack-r1", "--output", "0123", "--N", "3"],
+     "--N 3 does not match output length 4"),
+    (["invert", "--method", "attack-r1", "--output", "0123", "--leaders", "0"],
+     "--leaders applies to --method brute only"),
+    (["invert", "--method", "brute", "--output-value", "5"], "--output-value requires --N"),
+    (["classify", "--leaders", "i1"], "--leaders takes constant leaders only"),
+])
+def test_handler_usage_error_names_the_command(argv, message, capsys):
+    # a usage error raised by a command's handler, after parsing, prints
+    # that command's usage line, not the top-level one
+    with pytest.raises(SystemExit) as e:
+        main(argv[:1] + ["--index", "355"] + argv[1:])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: qows {argv[0]} [-h]"), err
+    assert f"\nqows {argv[0]}: error: {message}\n" in err
 
 
 def test_invert_output_and_output_value_together_are_a_usage_error(capsys):

@@ -279,6 +279,19 @@ class TestAttackR1Grid:
         if not first_hit:
             assert guesses == order ** -(-n // 3)
 
+    @pytest.mark.parametrize("order", [17, 256, 257, 300])
+    def test_wide_orders_match_reference(self, order):
+        # from order 17 on, a row of cells times the order wraps in their
+        # dtype (uint8 to order 256, uint16 above) unless the index
+        # arithmetic runs in intp
+        q = random_latin(order, order)
+        rng = random.Random(order)
+        for n in (1, 2, 3):
+            word = tuple(rng.randrange(order) for _ in range(n))
+            for b, first_hit in itertools.product((r1(q, word), word), (False, True)):
+                assert (_attack_r1_result(q, b, first_hit)
+                        == reference_attack_r1(q, b, first_hit)), (n, b, first_hit)
+
     def test_benchmark_squares_match_reference(self, benchmark_squares):
         rng = random.Random(9)
         for q in benchmark_squares:
@@ -306,7 +319,8 @@ class TestAttackR1Grid:
         monkeypatch.setattr(inv, "_r1_table", lambda q: table(q).view(CountedTable))
         monkeypatch.setattr(inv, "_r1_eval", counted_r1)
         rng = random.Random(5)
-        for order in (3, 4, 5, 8):
+        # order 17: the first whose index arithmetic wraps in uint8
+        for order in (3, 4, 5, 8, 17):
             for seed in range(3):
                 q = random_latin(order, seed)
                 for n in range(1, 8):
@@ -373,7 +387,7 @@ class TestAttackR1Grid:
             assert len(levels) == 1 + -(-n // 3), n
             # every check before the last guess re-reads a relation that
             # already holds, so only the last level can kill a branch
-            assert not any(step[0] for level in levels[:-1] for step in level[4]), n
+            assert not any(step[0] > 0 for level in levels[:-1] for step in level[3]), n
         rng = random.Random(3)
         for order in (2, 3, 5, 8):
             q = random_latin(order, order)
