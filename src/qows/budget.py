@@ -5,7 +5,8 @@ against one limit: the explicit budget argument, else QOWS_BUDGET, else
 DEFAULT_BUDGET. Work over the limit ends the search with BudgetExceeded,
 raised here and nowhere else, with a message that names the work and the
 limit. A charge takes the limit resolved once, so a running charge costs a
-comparison.
+comparison. A budget is an integer by as_integer's rule, which the
+package's lengths, positions and packed values follow too.
 """
 import operator
 import os
@@ -15,14 +16,21 @@ from .errors import BudgetExceeded, FormatError
 DEFAULT_BUDGET = 1 << 24
 
 
+def as_integer(x, error, what):
+    """x as an int by operator.index, so numpy integers and bools count;
+    error naming what if x is no integer. Budgets, lengths, positions and
+    packed values follow this rule, and so does a symbol (core._is_symbol)."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {x!r}") from None
+
+
 def resolve_budget(budget=None):
     """Budget precedence: explicit argument, QOWS_BUDGET, built-in default.
     A budget must be a non-negative integer; numpy integers count as one."""
     if budget is not None:
-        try:
-            limit, what = operator.index(budget), "budget"
-        except TypeError:
-            raise FormatError(f"budget must be an integer, got {budget!r}")
+        limit, what = as_integer(budget, FormatError, "budget"), "budget"
     else:
         env = os.environ.get("QOWS_BUDGET")
         try:

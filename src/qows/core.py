@@ -4,7 +4,14 @@ A quasigroup of order s is an s-by-s table over the symbols 0..s-1 in which
 every row and every column is a permutation. That property makes both
 division equations u * x = v and y * u = v uniquely solvable, which is what
 every transformation and attack in this package leans on.
+
+A symbol of Q = {0, ..., s-1} is an integer in the sense of operator.index,
+so numpy integers and bools count, in [0, s); one rule, _is_symbol, decides
+it for the whole package. Quasigroup._check applies it to operands, leaders
+and the symbols of a string alike, each caller naming its error type, and
+the constructor to each table entry, raising EntryOutOfRange.
 """
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
@@ -22,6 +29,16 @@ from .errors import (
 )
 
 
+def _is_symbol(x, order):
+    """Whether x is a symbol of Q = {0, ..., order - 1}: an integer in the
+    sense of operator.index, so numpy integers and bools count, in
+    [0, order)."""
+    try:
+        return 0 <= operator.index(x) < order
+    except TypeError:
+        return False
+
+
 class Quasigroup:
     """An immutable order-s quasigroup with O(1) multiplication and division.
 
@@ -33,14 +50,18 @@ class Quasigroup:
     __slots__ = ("order", "table", "_ldiv", "_rdiv")
 
     def __init__(self, table):
-        rows = [tuple(int(v) for v in row) for row in table]
+        try:
+            rows = [tuple(row) for row in table]
+        except TypeError:
+            raise NotSquare("table must be a nonempty square matrix") from None
         s = len(rows)
         if s == 0 or any(len(row) != s for row in rows):
             raise NotSquare("table must be a nonempty square matrix")
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
-                if not 0 <= v < s:
+                if not _is_symbol(v, s):
                     raise EntryOutOfRange(i, j, v)
+        rows = [tuple(map(operator.index, row)) for row in rows]
         full = frozenset(range(s))
         for i, row in enumerate(rows):
             if frozenset(row) != full:
@@ -72,10 +93,13 @@ class Quasigroup:
     def __repr__(self):
         return f"Quasigroup(order={self.order})"
 
-    def _check(self, *symbols):
+    def _check(self, *symbols, error=SymbolOutOfRange, what="symbol"):
+        """Raise error(f"{what} {x} not in [0, {order})") for the first x of
+        symbols that is not a symbol of Q: the package's one symbol check,
+        for operands, leaders and the symbols of a string alike."""
         for x in symbols:
-            if not 0 <= x < self.order:
-                raise SymbolOutOfRange(f"symbol {x} not in [0, {self.order})")
+            if not _is_symbol(x, self.order):
+                raise error(f"{what} {x} not in [0, {self.order})")
 
     def mul(self, u, v):
         """Return u * v."""
@@ -98,7 +122,9 @@ def validate(table):
     a Latin square.
 
     Errors are specific: NotSquare, EntryOutOfRange, RowNotPermutation, or
-    ColNotPermutation, in that checking order.
+    ColNotPermutation, in that checking order. Any table ends in one of
+    them or a square: one that is not rows of entries is NotSquare, and a
+    non-integer entry EntryOutOfRange at the first bad cell, row by row.
     """
     return Quasigroup(table)
 

@@ -20,7 +20,11 @@ transformation_rows, r1, r2, r_n) pass one entry check, _checked, and then
 one loop, _steps, which runs e_row on q.table once per leader. The check
 looks at the string once and at each leader once, and charges the
 len(leaders) * N e-steps against the budget before any is taken. e_inverse
-keeps its own loop behind the same check.
+keeps its own loop behind the same check. What a symbol is, the string's,
+a leader's or a constant leader's of an OwfSpec, is decided by q's one
+symbol check, Quasigroup._check: an integer in the sense of operator.index
+in [0, order). This module keeps no symbol test of its own but
+pack_string's, which has a base and no quasigroup.
 
 Besides the pure-Python reference steps, two vectorized forms run the same
 step: e_columns over many independent strings, and e_iterates over the grid
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import charge_steps, resolve_budget
+from .budget import as_integer, charge_steps, resolve_budget
 from .errors import (
     EmptyString,
     FormatError,
@@ -49,12 +53,12 @@ from .errors import (
 
 
 def check_string(q, a):
-    """Raise unless a is a nonempty string over q's symbols."""
+    """Raise EmptyString unless a is nonempty, then OrderMismatch at its
+    first symbol that is not one of q's, by q's one symbol check,
+    Quasigroup._check."""
     if len(a) == 0:
         raise EmptyString("transformations are defined for strings of length >= 1")
-    for x in a:
-        if not 0 <= x < q.order:
-            raise OrderMismatch(f"symbol {x} not in [0, {q.order})")
+    q._check(*a, error=OrderMismatch)
 
 
 def e_row(table, leader, a):
@@ -76,9 +80,7 @@ def _checked(q, leaders, a):
     a = tuple(a)
     check_string(q, a)
     leaders = tuple(leaders(a) if callable(leaders) else leaders)
-    for l in leaders:
-        if not 0 <= l < q.order:
-            raise SymbolOutOfRange(f"leader {l} not in [0, {q.order})")
+    q._check(*leaders, what="leader")
     charge_steps(len(leaders), len(a), resolve_budget())
     return leaders, a
 
@@ -480,14 +482,13 @@ class OwfSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "leaders", tuple(self.leaders))
-        if self.n < 1:
+        if as_integer(self.n, LengthMismatch, "N") < 1:
             raise LengthMismatch("N must be at least 1")
         for tok in self.leaders:
             if isinstance(tok, Const):
-                if not 0 <= tok.value < self.q.order:
-                    raise SymbolOutOfRange(f"constant leader {tok.value} out of range")
+                self.q._check(tok.value, what="constant leader")
             elif isinstance(tok, Index):
-                if not 0 <= tok.j < self.n:
+                if not 0 <= as_integer(tok.j, IndexLeaderOutOfRange, "index leader") < self.n:
                     raise IndexLeaderOutOfRange(f"index leader i{tok.j} outside 0..{self.n - 1}")
             else:
                 raise TypeError(f"leader token must be Const or Index, got {tok!r}")
@@ -521,7 +522,7 @@ def pack_string(a, s):
     """
     v = 0
     for x in a:
-        if not 0 <= x < s:
+        if not 0 <= as_integer(x, SymbolOutOfRange, "symbol") < s:
             raise SymbolOutOfRange(f"symbol {x} not in [0, {s})")
         v = v * s + x
     return v
@@ -529,9 +530,9 @@ def pack_string(a, s):
 
 def unpack_string(value, s, n):
     """Decode pack_string: the length-n string whose base-s value is given."""
-    if n < 0:
+    if as_integer(n, LengthMismatch, "string length") < 0:
         raise LengthMismatch(f"string length must be non-negative, got {n}")
-    if not 0 <= value < s**n:
+    if not 0 <= as_integer(value, SymbolOutOfRange, "value") < s**n:
         raise SymbolOutOfRange(f"value {value} not in [0, {s}^{n})")
     out = [0] * n
     for j in range(n - 1, -1, -1):

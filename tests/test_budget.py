@@ -1,14 +1,18 @@
-"""Every budget refusal, pinned to its exact message, and the import layering
-that keeps the budget at the bottom of the package."""
+"""Every budget refusal, and the domain refusals no other test reaches,
+pinned to their exact type and message; and the import layering that keeps
+the budget at the bottom of the package."""
 import ast
 import pathlib
 
 import pytest
 
 import qows
-from qows import (BudgetExceeded, OwfSpec, Quasigroup, attack_r1, attack_r2, brute_preimages,
-                  period_profile, permutation_search, preimage_histogram, r2, random_latin,
-                  render_iterations)
+from qows import (BudgetExceeded, FormatError, LengthMismatch, OrderNotSupported, OwfSpec,
+                  QowsError, Quasigroup, SymbolOutOfRange, attack_r1, attack_r2, brute_preimages,
+                  decode_image, pack_string, parse_quasigroup, parse_string, period_profile,
+                  permutation_search, preimage_histogram, r2, random_latin, render_iterations,
+                  unpack_string)
+from qows.budget import DEFAULT_BUDGET
 from qows.cli import main
 
 SRC = pathlib.Path(qows.__file__).resolve().parent
@@ -17,7 +21,8 @@ SRC = pathlib.Path(qows.__file__).resolve().parent
 # are what the scans charge last.
 ORDER_1 = Quasigroup([[0]])
 
-# (QOWS_BUDGET, the refused call on the reference square, its exact message)
+# (QOWS_BUDGET, the refused call on the reference square, its exact message,
+# or the error it raises where that is not BudgetExceeded)
 REFUSALS = {
     "domain-size-power": (
         3, lambda q: brute_preimages(OwfSpec(q, 5, ()), (0,) * 5),
@@ -67,16 +72,54 @@ REFUSALS = {
     "witness-search-order-1": (
         100, lambda q: permutation_search(ORDER_1, 10, 1),
         "21 leaders times 10 symbols exceeds budget 100"),
+    "random-latin-order-0": (
+        DEFAULT_BUDGET, lambda q: random_latin(0, 1),
+        OrderNotSupported("order must be at least 1")),
+    "brute-output-length": (
+        DEFAULT_BUDGET, lambda q: brute_preimages(OwfSpec(q, 3, ()), (0, 1)),
+        LengthMismatch("output length 2 != N = 3")),
+    "spec-n-0": (
+        DEFAULT_BUDGET, lambda q: OwfSpec(q, 0, ()),
+        LengthMismatch("N must be at least 1")),
+    "pack-symbol": (
+        DEFAULT_BUDGET, lambda q: pack_string((1, 4), 4),
+        SymbolOutOfRange("symbol 4 not in [0, 4)")),
+    "unpack-value": (
+        DEFAULT_BUDGET, lambda q: unpack_string(16, 4, 2),
+        SymbolOutOfRange("value 16 not in [0, 4^2)")),
+    "parse-order-not-integer": (
+        DEFAULT_BUDGET, lambda q: parse_quasigroup("# order\nfour\n"),
+        FormatError("expected order, got 'four'", line=2)),
+    "parse-order-0": (
+        DEFAULT_BUDGET, lambda q: parse_quasigroup("0\n"),
+        FormatError("order must be >= 1, got 0", line=1)),
+    "parse-compact-string": (
+        DEFAULT_BUDGET, lambda q: parse_string("01x3", 4),
+        FormatError("bad compact string '01x3'")),
+    "parse-spaced-string": (
+        DEFAULT_BUDGET, lambda q: parse_string("0 1.5", 4),
+        FormatError("non-integer symbol in '0 1.5'")),
+    "decode-negative-size": (
+        DEFAULT_BUDGET, lambda q: decode_image(b"P6\n-1 1\n255\n", 4),
+        FormatError("negative pixmap size -1 x 1")),
+    "decode-truncated-p6": (
+        DEFAULT_BUDGET, lambda q: decode_image(b"P6\n1 1\n", 4),
+        FormatError("truncated pixmap")),
+    "decode-not-a-pixmap": (
+        DEFAULT_BUDGET, lambda q: decode_image(b"GIF89a", 4),
+        FormatError("not a portable pixmap")),
 }
 
 
 @pytest.mark.parametrize("case", REFUSALS)
 def test_refusal_message_is_pinned(case, ref_square, monkeypatch):
-    budget, call, message = REFUSALS[case]
+    budget, call, expected = REFUSALS[case]
+    if isinstance(expected, str):
+        expected = BudgetExceeded(expected)
     monkeypatch.setenv("QOWS_BUDGET", str(budget))
-    with pytest.raises(BudgetExceeded) as refused:
+    with pytest.raises(QowsError) as refused:
         call(ref_square)
-    assert str(refused.value) == message
+    assert (type(refused.value), str(refused.value)) == (type(expected), str(expected))
 
 
 def test_cli_refusal_is_one_error_line(capsys):

@@ -331,10 +331,12 @@ class TestCensus:
         for k, q in enumerate(enumerate_order4(), 1):
             assert report.witnesses[k] == reference_witness(q, 2, 4)
 
-    @pytest.mark.parametrize("leader", [-1, 5])
-    def test_out_of_range_leader_rejected(self, leader):
+    @pytest.mark.parametrize("leader", [-1, 5, 1.5])
+    def test_out_of_range_leader_rejected(self, leader, ref_square):
         with pytest.raises(SymbolOutOfRange):
             census_order4(ClassifySettings(leaders=(leader,)))
+        with pytest.raises(SymbolOutOfRange, match=rf"^symbol {leader} not in \[0, 4\)$"):
+            period_profile(ref_square, leader)
 
     @pytest.mark.parametrize("n, max_len, include_indices",
                              [(1, 4, False), (3, 2, False), (2, 2, True)])

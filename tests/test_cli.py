@@ -520,10 +520,13 @@ def test_quasigroup_and_index_together_are_a_usage_error(command, tmp_path, caps
      "--leaders applies to --method brute only"),
     (["invert", "--method", "brute", "--output-value", "5"], "--output-value requires --N"),
     (["classify", "--leaders", "i1"], "--leaders takes constant leaders only"),
+    (["invert", "--method", "attack-r1", "--output", "01", "--budget", "x"],
+     "argument --budget: invalid integer 'x'"),
 ])
 def test_handler_usage_error_names_the_command(argv, message, capsys):
     # a usage error raised by a command's handler, after parsing, prints
-    # that command's usage line, not the top-level one
+    # that command's usage line, not the top-level one, as one raised by
+    # an option's parser does
     with pytest.raises(SystemExit) as e:
         main(argv[:1] + ["--index", "355"] + argv[1:])
     assert e.value.code == 2

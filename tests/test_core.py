@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,11 +47,26 @@ class TestValidation:
             Quasigroup([[0, 1, 2], [1, 0, 2]])
         with pytest.raises(NotSquare):
             Quasigroup([])
+        # a table that is not rows of entries
+        with pytest.raises(NotSquare):
+            validate(5)
+        with pytest.raises(NotSquare):
+            validate([0, 1])
 
     def test_entry_out_of_range(self):
-        with pytest.raises(EntryOutOfRange) as ei:
-            Quasigroup([[0, 1], [1, 7]])
-        assert ei.value.row == 1 and ei.value.col == 1 and ei.value.value == 7
+        for table, cell in [
+            ([[0, 1], [1, 7]], (1, 1, 7)),
+            # an entry that is no integer is refused, not truncated or parsed
+            ([[0, 1.7], [1, 0]], (0, 1, 1.7)),
+            ([[0, None], [1, 0]], (0, 1, None)),
+            ([["0", "1"], ["1", "0"]], (0, 0, "0")),
+            # the first bad cell, row by row, whatever makes it bad
+            ([[0, 1.7], [1, 9]], (0, 1, 1.7)),
+            ([[0, 9], [1.7, 0]], (0, 1, 9)),
+        ]:
+            with pytest.raises(EntryOutOfRange) as ei:
+                validate(table)
+            assert (ei.value.row, ei.value.col, ei.value.value) == cell
 
     def test_row_not_permutation(self):
         with pytest.raises(RowNotPermutation) as ei:
@@ -78,6 +94,11 @@ class TestValidation:
         assert hash(twin) == hash(ref_square)
         assert {ref_square: "x"}[twin] == "x"
         assert ref_square != Quasigroup(TABLE_AT_1)
+        # numpy integers and bools are integers, stored as ints
+        for table in (np.array(REFERENCE_SQUARE), np.array(REFERENCE_SQUARE, np.uint8)):
+            assert Quasigroup(table) == ref_square
+            assert type(Quasigroup(table).table[0][0]) is int
+        assert Quasigroup([[False, True], [True, False]]).table == ((0, 1), (1, 0))
 
 
 class TestOperations:
@@ -104,6 +125,12 @@ class TestOperations:
             fn(0, 4)
         with pytest.raises(SymbolOutOfRange):
             fn(-1, 0)
+        # an operand must be an integer, which numpy integers and bools are
+        with pytest.raises(SymbolOutOfRange, match=r"^symbol 1\.5 not in \[0, 4\)$"):
+            fn(1.5, 0)
+        with pytest.raises(SymbolOutOfRange, match=r"^symbol 1 not in \[0, 4\)$"):
+            fn(0, "1")
+        assert fn(np.int64(1), True) == fn(1, 1)
 
 
 class TestEnumeration:

@@ -18,6 +18,7 @@ from qows import (
     EmptyString,
     FormatError,
     Index,
+    OrderMismatch,
     OwfSpec,
     PreimageHistogram,
     QowsError,
@@ -234,6 +235,11 @@ class TestAttackR1:
             attack_r1(ref_square, ())
         with pytest.raises(EmptyString):
             attack_r2(ref_square, ())
+        # an output symbol that is no integer has no preimage to report
+        for invert in (attack_r1, attack_r2,
+                       lambda q, b: brute_preimages(OwfSpec(q, 2, ()), b)):
+            with pytest.raises(OrderMismatch, match=r"^symbol 1\.5 not in \[0, 4\)$"):
+                invert(ref_square, (1.5, 2))
 
     def test_counters_populated(self, ref_square):
         trace = attack_r1(ref_square, data.R1_ATTACK_B)

@@ -87,6 +87,16 @@ class TestETransform:
             e_transform(ref_square, 4, (0, 1))
         with pytest.raises(OrderMismatch):
             e_transform(ref_square, 0, (0, 9))
+        # a symbol is an integer: a float is refused by the same check
+        with pytest.raises(SymbolOutOfRange, match=r"^leader 1\.5 not in \[0, 4\)$"):
+            e_transform(ref_square, 1.5, (0, 1))
+        for fn in (lambda q, a: e_transform(q, 0, a), lambda q, a: e_inverse(q, 0, a), r1):
+            with pytest.raises(OrderMismatch, match=r"^symbol 1\.5 not in \[0, 4\)$"):
+                fn(ref_square, (1.5, 2))
+        # and numpy integers and bools are integers
+        assert e_transform(ref_square, np.int64(1), np.array([0, 1, 3])) == \
+            e_transform(ref_square, 1, (0, 1, 3))
+        assert r1(ref_square, [np.uint8(1), True]) == r1(ref_square, (1, 1))
         # a bad leader late in a sequence is refused before any step
         with mock.patch.object(transforms, "e_row", side_effect=AssertionError("stepped")):
             for compose in (apply_leader_sequence, transformation_rows):
@@ -516,6 +526,17 @@ class TestOwfSpec:
             OwfSpec(ref_square, 2, (Index(2),))
         with pytest.raises(TypeError):
             OwfSpec(ref_square, 2, (3,))
+        with pytest.raises(SymbolOutOfRange, match=r"^constant leader 7 not in \[0, 4\)$"):
+            OwfSpec(ref_square, 2, (Const(7),))
+        # a constant, a position and N are integers, numpy's and bools included
+        with pytest.raises(SymbolOutOfRange, match=r"^constant leader 1\.5 not in \[0, 4\)$"):
+            OwfSpec(ref_square, 2, (Const(1.5),))
+        with pytest.raises(IndexLeaderOutOfRange, match=r"^index leader must be an integer, got 0\.5$"):
+            OwfSpec(ref_square, 2, (Index(0.5),))
+        with pytest.raises(LengthMismatch, match=r"^N must be an integer, got 2\.5$"):
+            OwfSpec(ref_square, 2.5, ())
+        spec = OwfSpec(ref_square, np.int64(2), (Const(np.uint8(3)), Index(True)))
+        assert r_n(spec, (0, 1)) == r_n(OwfSpec(ref_square, 2, (Const(3), Index(1))), (0, 1))
 
     def test_resolution_reads_original_input(self, ref_square):
         spec = OwfSpec(ref_square, 2, (Const(3), Const(3), Index(1), Index(0)))
@@ -544,6 +565,8 @@ class TestOwfSpec:
             r_n(spec, ())
         with pytest.raises(OrderMismatch):
             r_n(spec, (0, 9))
+        with pytest.raises(OrderMismatch):
+            r_n(spec, (0, 1.5))
 
     def test_full_maps(self, ref_square):
         left = OwfSpec(ref_square, 2, (Const(3), Const(3), Index(1), Index(0)))
@@ -585,3 +608,12 @@ class TestPacking:
         assert unpack_string(0, 4, 0) == ()
         with pytest.raises(LengthMismatch, match="non-negative"):
             unpack_string(0, 4, -2)
+        # a length, a value and a symbol are integers, not floats
+        with pytest.raises(LengthMismatch, match=r"^string length must be an integer, got 2\.0$"):
+            unpack_string(3, 4, 2.0)
+        with pytest.raises(SymbolOutOfRange, match=r"^value must be an integer, got 3\.0$"):
+            unpack_string(3.0, 4, 2)
+        with pytest.raises(SymbolOutOfRange, match=r"^symbol must be an integer, got 1\.5$"):
+            pack_string((1.5, 2), 4)
+        assert pack_string((np.int64(3), True), 4) == 13
+        assert unpack_string(np.int64(13), 4, np.uint8(2)) == (3, 1)
