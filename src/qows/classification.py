@@ -21,13 +21,22 @@ The census keeps one period point per square, the largest final point over
 its leaders, so it stops a square's leaders at the first one that caps: a
 capped point reports the width, an uncapped period is at most half of it,
 and every capped point is the same PeriodPoint(iterations, width, True).
+
+One period engine, _unit_profile, serves the census, classify and
+period_profile. It steps m iterates per pass over the current unit through
+one stacked e-step table, whose state packs the symbols of m layers (see
+_stacks): m is the most layers whose table has at most 256 entries, 3 at
+order 4 and 1 from order 7 up, where the table is the square's own. The
+census builds the tables of 64 squares at a time in one uint8 array and
+lists the rows of one square at a time; classify builds one table per
+call.
 """
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import charge, charge_steps, over_by_exponent, refuse, resolve_budget
+from .budget import as_integer, charge, charge_steps, over_by_exponent, refuse, resolve_budget
 from .core import enumerate_order4
 from .errors import EmptyString, FormatError, LengthMismatch, OrderNotSupported
 from .transforms import digit_columns, e_row, family_columns, family_steps, leader_tokens
@@ -83,9 +92,9 @@ def _check_search(order, n, max_len, include_indices, budget):
     """Validate a witness search and charge s^n inputs per leader string
     against the budget, then the e-steps of one evaluation under the
     longest leader string, before any work."""
-    if n < 1:
+    if as_integer(n, LengthMismatch, "N") < 1:
         raise LengthMismatch("N must be at least 1")
-    if max_len < 0:
+    if as_integer(max_len, FormatError, "max leader length") < 0:
         raise FormatError(f"max leader length must be non-negative, got {max_len}")
     limit = resolve_budget(budget)
     what = f"{order}^{n} inputs times the leader strings up to length {max_len}"
@@ -211,6 +220,8 @@ class ClassifySettings:
     include_indices: bool = False
 
     def __post_init__(self):
+        for name in ("iterations", "width"):
+            as_integer(getattr(self, name), FormatError, name)
         for name, least in (("iterations", 1), ("n", 1), ("max_len", 0), ("alpha", 0)):
             if getattr(self, name) < least:
                 raise FormatError(f"{name} must be at least {least}, "
@@ -252,9 +263,63 @@ def _start_unit(q, motif, width, iterations):
     return motif[:minimal_period(motif * 2)]
 
 
-def _unit_profile(table, leader, unit, width, iterations):
+# A step stacking m e-steps has order^(m+1) <= STACK_ENTRIES entries, so
+# its states fit a byte; MAX_LAYERS bounds m at order 1, where every m
+# qualifies. Steps are built STACK_TABLES tables at a time, which keeps the
+# build's index arrays to 32 KB at order 4: one pass over all 576 order-4
+# tables raised the census peak RSS by 0.5 MiB.
+STACK_ENTRIES = 256
+MAX_LAYERS = 8
+STACK_TABLES = 64
+
+
+def stack_layers(order):
+    """m, the e-steps one stacked step takes: the most with order^(m+1) <=
+    STACK_ENTRIES, up to MAX_LAYERS. 3 at order 4, 4 at order 3, 7 at order
+    2, 2 at orders 5 and 6, 1 from order 7 up."""
+    m = 1
+    while m < MAX_LAYERS and order ** (m + 2) <= STACK_ENTRIES:
+        m += 1
+    return m
+
+
+def _stacks(tables):
+    """The stack of each of several tables of one order, in order: (step, m)
+    with step[x][a] the state after symbol a from state x. A state packs
+    the symbols of m layers of e-steps in base s, the first layer most
+    significant, and layer j steps x_j <- x_j * (the symbol layer j-1 just
+    wrote, or a for the first). The steps of STACK_TABLES tables are built
+    at once in one uint8 array, which is cut into rows one table at a time,
+    so only the table in use is held as lists. With m = 1 the step is the
+    table."""
+    s = len(tables[0])
+    m = stack_layers(s)
+    if m == 1:
+        yield from ((table, 1) for table in tables)
+        return
+    for lo in range(0, len(tables), STACK_TABLES):
+        mul = np.array(tables[lo:lo + STACK_TABLES], dtype=np.uint8).ravel()
+        # the narrowest dtype holding every entry and every index of mul
+        dtype = np.min_scalar_type(max(len(mul), STACK_ENTRIES) - 1)
+        cell = np.arange(s ** (m + 1), dtype=dtype)     # entry = state * s + a
+        base = np.arange(0, len(mul), s * s, dtype=dtype)[:, None]
+        prev, state = cell % s, 0
+        for j in range(m):
+            prev = mul[base + cell // s ** (m - j) % s * s + prev]
+            state = state * s + prev
+        for row in state:
+            yield row.reshape(-1, s).tolist(), m
+
+
+def _stack(table):
+    """The stack of one table, see _stacks."""
+    return next(_stacks([table]))
+
+
+def _unit_profile(stack, leader, unit, width, iterations):
     """The minimal periods of the iterates of period_profile that are not
-    capped, from the start string's unit, without checks.
+    capped, from the start string's unit and a _stack of the table,
+    without checks.
 
     If the iterate repeats a unit U of minimal length P, one pass of the
     e-step over U maps the state permutation-wise, and the leader returns
@@ -264,20 +329,45 @@ def _unit_profile(table, leader, unit, width, iterations):
     would start a copy from a different state, hence a different symbol.
     Periods never decrease, so the list ends at the first iterate whose
     period passes width / 2: it and every later iterate are capped.
+
+    A round takes m iterates at once: passes of the stacked step over U
+    from home, the state where every layer holds the leader, until every
+    layer is home again. Layer j's unit is c_j copies of layer j-1's, so it
+    can only return where layers 1..j-1 are home, and its period is P times
+    the passes at its first return there. The width test of each layer is
+    made at those same points, and the next round's unit is the last
+    layer's output.
     """
+    step, m = stack
+    s = len(step[0])
+    home = 0
+    for _ in range(m):
+        home = home * s + leader
+    # layers 1..j of state x are home when x // scale[j] == homes[j]
+    scale = [s ** (m - j) for j in range(m + 1)]
+    homes = [home // d for d in scale]
+    last = (bytes(range(s)) * 256)[:256]        # state -> its last layer's symbol
     periods = []
-    for _ in range(iterations):
-        nxt = e_row(table, leader, unit)
-        while True:
-            x = nxt[-1]
-            least = len(nxt) if x == leader else len(nxt) + len(unit)
-            if 2 * least > width:           # the next period is at least this
-                return periods
-            if x == leader:
-                break
-            nxt += e_row(table, x, unit)
-        unit = nxt
-        periods.append(len(unit))
+    while len(periods) < iterations:
+        size = len(unit)
+        layers = min(m, iterations - len(periods))
+        states, x, passes, found = [], home, 0, 0
+        while found < layers:
+            states += e_row(step, x, unit)
+            x = states[-1]
+            passes += 1
+            while found < layers and x // scale[found] == homes[found]:
+                back = x // scale[found + 1] == homes[found + 1]
+                least = passes * size
+                if not back:                    # one more unit of the layer before
+                    least += periods[-1] if found else size
+                if 2 * least > width:           # the next period is at least this
+                    return periods
+                if not back:
+                    break
+                periods.append(passes * size)
+                found += 1
+        unit = states if m == 1 else bytes(states).translate(last)
     return periods
 
 
@@ -292,9 +382,12 @@ def period_profile(q, leader, motif=(0, 1, 2, 3), width=4096, iterations=32):
     """Minimal period of each iterate of the leader-l elementary
     transformation, starting from the periodic extension of motif to width
     (see PeriodPoint for what is reported)."""
+    iterations = as_integer(iterations, FormatError, "iterations")
+    width = as_integer(width, FormatError, "width")
     unit = _start_unit(q, motif, width, iterations)
     q._check(leader)
-    return _points(_unit_profile(q.table, leader, unit, width, iterations), width, iterations)
+    return _points(_unit_profile(_stack(q.table), leader, unit, width, iterations),
+                   width, iterations)
 
 
 def classify(q, settings=None):
@@ -304,9 +397,11 @@ def classify(q, settings=None):
     within alpha * iterations * |motif|.
     """
     st = settings or ClassifySettings()
-    profiles = {}
-    for l in st.leaders_for(q):
-        profiles[l] = period_profile(q, l, st.motif, st.width, st.iterations)
+    leaders = st.leaders_for(q)
+    unit = _start_unit(q, st.motif, st.width, st.iterations)
+    stack = _stack(q.table)
+    profiles = {l: _points(_unit_profile(stack, l, unit, st.width, st.iterations),
+                           st.width, st.iterations) for l in leaders}
     worst = max(profiles, key=lambda l: profiles[l][-1].period)
     period_at_k = profiles[worst][-1].period
     label = FRACTAL if period_at_k <= st.threshold else NON_FRACTAL
@@ -411,10 +506,11 @@ def census_order4(settings=None):
              if members else {})
     witnesses = [found.get(i) for i in range(len(squares))]
     fractal, non_fractal, periods, disagree = [], [], {}, []
-    for idx, (q, witness) in enumerate(zip(squares, witnesses), 1):
+    stacks = _stacks([q.table for q in squares])
+    for idx, (stack, witness) in enumerate(zip(stacks, witnesses), 1):
         final = 0
         for l in leaders:
-            uncapped = _unit_profile(q.table, l, unit, st.width, st.iterations)
+            uncapped = _unit_profile(stack, l, unit, st.width, st.iterations)
             if len(uncapped) < st.iterations:
                 point = PeriodPoint(st.iterations, st.width, True)
                 break

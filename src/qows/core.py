@@ -18,7 +18,7 @@ from random import Random
 
 import numpy as np
 
-from .budget import charge, resolve_budget
+from .budget import as_integer, charge, resolve_budget
 from .errors import (
     ColNotPermutation,
     EntryOutOfRange,
@@ -311,7 +311,7 @@ def lex_index(q):
 def from_index(k):
     """Return the order-4 quasigroup with lexicographic number k (1-based)."""
     tables = _order4_tables()
-    if not 1 <= k <= len(tables):
+    if not 1 <= as_integer(k, OrderNotSupported, "index") <= len(tables):
         raise OrderNotSupported(f"index {k} outside 1..{len(tables)}")
     return Quasigroup(tables[k - 1])
 
@@ -331,7 +331,7 @@ def random_latin(s, seed):
     The same (s, seed) pair always produces the identical square. The sampler is not uniform
     over all Latin squares, which is acceptable for attack benchmarking.
     """
-    if s < 1:
+    if as_integer(s, OrderNotSupported, "order") < 1:
         raise OrderNotSupported("order must be at least 1")
     rng = Random(seed)
     limit, spent = resolve_budget(), 0

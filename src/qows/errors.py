@@ -3,6 +3,7 @@
 Domain errors all derive from QowsError so callers (and the command-line
 front end) can distinguish bad inputs from genuine bugs.
 """
+import operator
 
 
 class QowsError(Exception):
@@ -14,13 +15,20 @@ class NotSquare(QowsError):
 
 
 class EntryOutOfRange(QowsError):
-    """A table entry is not a symbol in [0, s)."""
+    """A table entry is not a symbol in [0, s). An integer entry (numpy
+    integers and bools count) is shown as printed, any other by its repr,
+    so the string '0' does not read as the integer 0."""
 
     def __init__(self, row, col, value):
         self.row = row
         self.col = col
         self.value = value
-        super().__init__(f"entry {value} at row {row}, col {col} is out of range")
+        try:
+            operator.index(value)
+            shown = value
+        except TypeError:
+            shown = repr(value)
+        super().__init__(f"entry {shown} at row {row}, col {col} is out of range")
 
 
 class RowNotPermutation(QowsError):

@@ -48,6 +48,7 @@ from .errors import (
     IndexLeaderOutOfRange,
     LengthMismatch,
     OrderMismatch,
+    OrderNotSupported,
     SymbolOutOfRange,
 )
 
@@ -520,6 +521,7 @@ def pack_string(a, s):
 
     For s = 4 this matches the two-bit-letter convention: (3, 0) -> 12.
     """
+    as_integer(s, OrderNotSupported, "base")
     v = 0
     for x in a:
         if not 0 <= as_integer(x, SymbolOutOfRange, "symbol") < s:
@@ -530,6 +532,7 @@ def pack_string(a, s):
 
 def unpack_string(value, s, n):
     """Decode pack_string: the length-n string whose base-s value is given."""
+    as_integer(s, OrderNotSupported, "base")
     if as_integer(n, LengthMismatch, "string length") < 0:
         raise LengthMismatch(f"string length must be non-negative, got {n}")
     if not 0 <= as_integer(value, SymbolOutOfRange, "value") < s**n:

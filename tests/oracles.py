@@ -28,6 +28,9 @@ the pair of whole-array compares they replaced. The histogram record
 writes its "<value> <count>" lines from one matrix of digits;
 reference_histogram_text is the per-entry f-string loop it replaced.
 
+The period engine steps m iterates at once through one stacked table;
+reference_unit_profile is the loop it replaced, one iterate per pass.
+
 The renderer sweeps anti-diagonals of tiles; reference_render is the
 row-by-row loop it replaced. algebraic_probe compares whole (v, w) slices;
 reference_algebraic_probe is the scalar scan it replaced.
@@ -91,6 +94,28 @@ def window_profile(q, leader, motif, width, iterations):
         points.append(PeriodPoint(k, p, False) if 2 * p <= width
                       else PeriodPoint(k, width, True))
     return tuple(points)
+
+
+def reference_unit_profile(table, leader, unit, width, iterations):
+    """The uncapped periods of period_profile one iterate at a time, the
+    single-layer loop the stacked engine replaced: the next iterate's unit
+    is c passes of the e-step over this one's, c the first pass count at
+    whose end the state is the leader again, and the list ends at the
+    first iterate whose period would pass width / 2."""
+    periods = []
+    for _ in range(iterations):
+        nxt = e_row(table, leader, unit)
+        while True:
+            x = nxt[-1]
+            least = len(nxt) if x == leader else len(nxt) + len(unit)
+            if 2 * least > width:
+                return periods
+            if x == leader:
+                break
+            nxt += e_row(table, x, unit)
+        unit = nxt
+        periods.append(len(unit))
+    return periods
 
 
 class _ReferenceGrid:

@@ -7,11 +7,11 @@ import pathlib
 import pytest
 
 import qows
-from qows import (BudgetExceeded, FormatError, LengthMismatch, OrderNotSupported, OwfSpec,
-                  QowsError, Quasigroup, SymbolOutOfRange, attack_r1, attack_r2, brute_preimages,
-                  decode_image, pack_string, parse_quasigroup, parse_string, period_profile,
-                  permutation_search, preimage_histogram, r2, random_latin, render_iterations,
-                  unpack_string)
+from qows import (BudgetExceeded, ClassifySettings, FormatError, LengthMismatch,
+                  OrderNotSupported, OwfSpec, QowsError, Quasigroup, SymbolOutOfRange, attack_r1,
+                  attack_r2, brute_preimages, decode_image, from_index, pack_string,
+                  parse_quasigroup, parse_string, period_profile, permutation_search,
+                  preimage_histogram, r2, random_latin, render_iterations, unpack_string)
 from qows.budget import DEFAULT_BUDGET
 from qows.cli import main
 
@@ -108,6 +108,35 @@ REFUSALS = {
     "decode-not-a-pixmap": (
         DEFAULT_BUDGET, lambda q: decode_image(b"GIF89a", 4),
         FormatError("not a portable pixmap")),
+    # a count that is no integer is refused before any work, where it
+    # ended in a TypeError or, as a base, gave a float
+    "random-latin-order-not-integer": (
+        DEFAULT_BUDGET, lambda q: random_latin(2.5, 0),
+        OrderNotSupported("order must be an integer, got 2.5")),
+    "from-index-not-integer": (
+        DEFAULT_BUDGET, lambda q: from_index(1.5),
+        OrderNotSupported("index must be an integer, got 1.5")),
+    "witness-search-n-not-integer": (
+        DEFAULT_BUDGET, lambda q: permutation_search(q, 2.5, 1),
+        LengthMismatch("N must be an integer, got 2.5")),
+    "unpack-base-not-integer": (
+        DEFAULT_BUDGET, lambda q: unpack_string(3, 4.0, 2),
+        OrderNotSupported("base must be an integer, got 4.0")),
+    "pack-base-not-integer": (
+        DEFAULT_BUDGET, lambda q: pack_string((1, 2), 4.5),
+        OrderNotSupported("base must be an integer, got 4.5")),
+    "settings-iterations-not-integer": (
+        DEFAULT_BUDGET, lambda q: ClassifySettings(iterations=2.5),
+        FormatError("iterations must be an integer, got 2.5")),
+    "settings-width-not-integer": (
+        DEFAULT_BUDGET, lambda q: ClassifySettings(width=8.0),
+        FormatError("width must be an integer, got 8.0")),
+    "period-profile-iterations-not-integer": (
+        DEFAULT_BUDGET, lambda q: period_profile(q, 0, (0, 1, 2, 3), 4096, 2.5),
+        FormatError("iterations must be an integer, got 2.5")),
+    "period-profile-width-not-integer": (
+        DEFAULT_BUDGET, lambda q: period_profile(q, 0, (0, 1, 2, 3), 8.0, 2),
+        FormatError("width must be an integer, got 8.0")),
 }
 
 

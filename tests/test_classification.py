@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -39,7 +40,7 @@ from qows import classification
 from qows.classification import _first_witnesses
 
 import data
-from oracles import reference_witness, window_profile, window_rows
+from oracles import reference_unit_profile, reference_witness, window_profile, window_rows
 
 random_squares = st.builds(random_latin, st.integers(2, 6), st.integers(0, 10**6))
 
@@ -377,13 +378,42 @@ class TestCensus:
         assert len(made) == 576
 
     def test_unit_profile_lists_the_uncapped_periods(self):
-        table = from_index(47).table
+        stack = classification._stack(from_index(47).table)
         # a width of one motif caps the first iterate
-        assert classification._unit_profile(table, 0, [0, 1, 2, 3], 4, 3) == []
-        assert classification._unit_profile(table, 0, [0, 1, 2, 3], 4096, 32) \
+        assert classification._unit_profile(stack, 0, [0, 1, 2, 3], 4, 3) == []
+        assert classification._unit_profile(stack, 0, [0, 1, 2, 3], 4096, 32) \
             == data.P47_PROFILE_L0_PREFIX
-        never = classification._unit_profile(from_index(46).table, 0, [0, 1, 2, 3], 4096, 32)
+        stack = classification._stack(from_index(46).table)
+        never = classification._unit_profile(stack, 0, [0, 1, 2, 3], 4096, 32)
         assert len(never) == 32 and never[-1] == 128
+
+    def test_stack_layers(self):
+        assert [classification.stack_layers(s) for s in range(1, 9)] == [8, 7, 4, 3, 2, 2, 1, 1]
+
+    def test_unit_profile_matches_the_single_layer_loop(self):
+        # random squares of orders 1-8, so 1 to 8 layers a round; iteration
+        # counts below m and not multiples of it; widths from one motif,
+        # which caps the first iterate, up to ones no period reaches
+        rng = random.Random(33)
+        capped = 0
+        for _ in range(600):
+            s = rng.randint(1, 8)
+            q = random_latin(s, rng.randrange(1 << 20))
+            motif = [rng.randrange(s) for _ in range(rng.randint(1, 6))]
+            unit = motif[:minimal_period(motif * 2)]
+            width = len(motif) * rng.choice([1, 2, 3, 5, 8, 16, 64, 256, 1024])
+            iterations = rng.randint(1, 3 * classification.stack_layers(s) + 2)
+            leader = rng.randrange(s)
+            got = classification._unit_profile(classification._stack(q.table), leader,
+                                               unit, width, iterations)
+            assert got == reference_unit_profile(q.table, leader, unit, width, iterations), \
+                (q.table, leader, motif, width, iterations)
+            capped += len(got) < iterations
+        assert 100 < capped < 500
+
+    def test_profile_at_order_1_ends(self):
+        profile = period_profile(Quasigroup([[0]]), 0, (0,), 4, 32)
+        assert [p.period for p in profile] == [1] * 32
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=4), st.integers(1, 16),
            st.integers(1, 5), st.one_of(st.none(), st.permutations(range(4))),

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,16 @@ class TestValidation:
             with pytest.raises(EntryOutOfRange) as ei:
                 validate(table)
             assert (ei.value.row, ei.value.col, ei.value.value) == cell
+
+    @pytest.mark.parametrize("table, message", [
+        ([["0", "1"], ["1", "0"]], "entry '0' at row 0, col 0 is out of range"),
+        ([[0, 1.7], [1, 0]], "entry 1.7 at row 0, col 1 is out of range"),
+        ([[0, 1], [1, np.int64(9)]], "entry 9 at row 1, col 1 is out of range"),
+        ([[True]], "entry True at row 0, col 0 is out of range"),
+    ])
+    def test_entry_message_quotes_what_is_no_integer(self, table, message):
+        with pytest.raises(EntryOutOfRange, match=f"^{re.escape(message)}$"):
+            validate(table)
 
     def test_row_not_permutation(self):
         with pytest.raises(RowNotPermutation) as ei:

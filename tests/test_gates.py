@@ -1,6 +1,8 @@
-"""The digest gates: the text of two demos, a histogram record and a set of
-attack records, each run as a user runs it, in a fresh interpreter, and
-compared byte for byte with the output pinned by its SHA-256.
+"""The CI gates that run under the tests: the text of two demos, a
+histogram record and a set of attack records, each run as a user runs it,
+in a fresh interpreter, and compared byte for byte with the output pinned
+by its SHA-256; and two commands that must end within a time bound, an
+order-128 gen and a witness search too large for the budget.
 
 Each command runs as sys.executable -m qows.cli, and each demo as
 sys.executable -bb demos/<name>.py, with this checkout's src first on the
@@ -14,20 +16,26 @@ import sys
 
 import pytest
 
+from qows import parse_quasigroup
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def _run(*argv):
-    """The stdout of argv run from the checkout's root; its stderr (the
-    structure warnings) is dropped, and it must exit 0."""
+def _env():
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    return subprocess.run(argv, cwd=ROOT, env=env, check=True,
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def _run(*argv, timeout=None):
+    """The stdout of argv run from the checkout's root; its stderr (the
+    structure warnings) is dropped, and it must exit 0 within timeout
+    seconds."""
+    return subprocess.run(argv, cwd=ROOT, env=_env(), check=True, timeout=timeout,
                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL).stdout
 
 
-def _qows(*args):
-    return _run(sys.executable, "-m", "qows.cli", *args)
+def _qows(*args, timeout=None):
+    return _run(sys.executable, "-m", "qows.cli", *args, timeout=timeout)
 
 
 def _sha256(data):
@@ -83,3 +91,25 @@ def test_attack_records_unchanged(tmp_path):
     assert len(lines) == 51
     assert _sha256(b"".join(lines)) == \
         "1e367e83dd0c802f26eeaeffdc4e0c3cdc50cd98f6d03ac0623afc2e61d9dae2"
+
+
+def test_wide_gen_within_a_minute():
+    # an order-128 square under the default budget, by augmenting paths
+    table = _qows("gen", "--order", "128", "--seed", "0", timeout=60)
+    assert parse_quasigroup(table.decode()).order == 128
+
+
+def test_hostile_witness_search_is_refused_up_front():
+    # N = 10^9 with index leaders: the public enumerator yields its first
+    # strings without building a billion index leaders, and the budget
+    # refuses the search from the token count alone, in one error line
+    first = _run(sys.executable, "-c", "import itertools, qows; print(len(list("
+                 "itertools.islice(qows.leader_strings(4, 10**9, 1, True), 10))))", timeout=20)
+    assert first == b"10\n"
+    search = subprocess.run([sys.executable, "-m", "qows.cli", "search", "--index", "5",
+                             "--N", "1000000000", "--include-indices"],
+                            cwd=ROOT, env=_env(), timeout=20, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True)
+    lines = search.stderr.splitlines()
+    assert search.returncode == 1, search.stderr
+    assert len(lines) == 1 and "exceeds budget" in lines[0], search.stderr
