@@ -28,8 +28,8 @@ one stacked e-step table, whose state packs the symbols of m layers (see
 _stacks): m is the most layers whose table has at most 256 entries, 3 at
 order 4 and 1 from order 7 up, where the table is the square's own. The
 census builds the tables of 64 squares at a time in one uint8 array and
-lists the rows of one square at a time; classify builds one table per
-call.
+lists the rows of one square at a time; period_profile builds one table
+per call, and classify calls it for each leader.
 """
 import itertools
 from dataclasses import dataclass
@@ -346,7 +346,8 @@ def _unit_profile(stack, leader, unit, width, iterations):
     # layers 1..j of state x are home when x // scale[j] == homes[j]
     scale = [s ** (m - j) for j in range(m + 1)]
     homes = [home // d for d in scale]
-    last = (bytes(range(s)) * 256)[:256]        # state -> its last layer's symbol
+    # state -> its last layer's symbol; states are bytes only when m > 1
+    last = (bytes(range(s)) * STACK_ENTRIES)[:STACK_ENTRIES] if m > 1 else None
     periods = []
     while len(periods) < iterations:
         size = len(unit)
@@ -397,11 +398,9 @@ def classify(q, settings=None):
     within alpha * iterations * |motif|.
     """
     st = settings or ClassifySettings()
-    leaders = st.leaders_for(q)
-    unit = _start_unit(q, st.motif, st.width, st.iterations)
-    stack = _stack(q.table)
-    profiles = {l: _points(_unit_profile(stack, l, unit, st.width, st.iterations),
-                           st.width, st.iterations) for l in leaders}
+    profiles = {}
+    for l in st.leaders_for(q):
+        profiles[l] = period_profile(q, l, st.motif, st.width, st.iterations)
     worst = max(profiles, key=lambda l: profiles[l][-1].period)
     period_at_k = profiles[worst][-1].period
     label = FRACTAL if period_at_k <= st.threshold else NON_FRACTAL

@@ -411,6 +411,16 @@ class TestCensus:
             capped += len(got) < iterations
         assert 100 < capped < 500
 
+    @pytest.mark.parametrize("order", [257, 300])
+    def test_profile_past_a_byte_matches_the_single_layer_loop(self, order):
+        # one layer a round, so no state is packed into a byte
+        q = random_latin(order, 0)
+        motif = (0, 1, order - 1, 2)
+        for leader in (0, order - 1):
+            periods = reference_unit_profile(q.table, leader, list(motif), 4096, 32)
+            assert period_profile(q, leader, motif) == \
+                classification._points(periods, 4096, 32)
+
     def test_profile_at_order_1_ends(self):
         profile = period_profile(Quasigroup([[0]]), 0, (0,), 4, 32)
         assert [p.period for p in profile] == [1] * 32
