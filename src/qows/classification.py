@@ -25,11 +25,14 @@ and every capped point is the same PeriodPoint(iterations, width, True).
 One period engine, _unit_profile, serves the census, classify and
 period_profile. It steps m iterates per pass over the current unit through
 one stacked e-step table, whose state packs the symbols of m layers (see
-_stacks): m is the most layers whose table has at most 256 entries, 3 at
-order 4 and 1 from order 7 up, where the table is the square's own. The
-census builds the tables of 64 squares at a time in one uint8 array and
-lists the rows of one square at a time; period_profile builds one table
-per call, and classify calls it for each leader.
+transforms.stack_tables, the builder the vectorized scans share): m is the
+most layers whose table has at most 256 entries, 3 at order 4 and 1 from
+order 7 up, where the table is the square's own. The census builds the
+tables of 64 squares at a time in one uint8 array and lists the rows of
+one square at a time; period_profile builds one table per call, and
+classify calls it for each leader. The witness search steps its family
+members through the stacked steps of all the squares it searches, built
+once per search.
 """
 import itertools
 from dataclasses import dataclass
@@ -41,7 +44,7 @@ from .core import enumerate_order4
 from .errors import EmptyString, FormatError, LengthMismatch, OrderNotSupported
 from .transforms import digit_columns, e_row, family_columns, family_steps, leader_tokens
 from .transforms import blocks, check_periodic, flat_table, pack_columns, symbol_dtype
-from .transforms import unpack_string
+from .transforms import STACK_ENTRIES, stack_layers, stack_tables, unpack_string
 # Unused here; perfbench/tracing.py rebinds these names to count calls.
 from .transforms import OwfSpec, e_transform, r_n  # noqa: F401
 
@@ -107,36 +110,44 @@ def _check_search(order, n, max_len, include_indices, budget):
     charge_steps(max_len + 2 * n, n, limit)
 
 
-def _bijective(mul, s, n, squares, ids):
+def _bijective(stack, s, n, squares, ids):
     """(len(squares), strings) mask: is leader string ids[:, k] a witness for
-    the square whose table starts at squares[i] * s * s in mul?
+    the square whose stacked step starts at squares[i] * s^(m+1) in stack,
+    the stacked steps of m = stack_layers(s) layers (transforms.stack_tables)
+    of the squares searched?
 
     Token ids below s are constants, s + j is Index(j). Columns run
     (square, string, input); as there are exactly s^n inputs, outputs that
-    cover all of Q^n make a bijection.
+    cover all of Q^n make a bijection. The per-column offsets and group
+    numbers are built in the gather's index dtype, which holds len(stack)
+    - 1, and the packed images in the narrowest dtype holding s^n - 1.
     """
     total = s**n
     strings = ids.shape[1]
     groups = len(squares) * strings
     group_tok = np.tile(ids, len(squares))
-    group_off = np.repeat(np.asarray(squares, dtype=np.intp) * (s * s), strings)
+    dtype = np.min_scalar_type(max(len(stack), groups) - 1)
+    group_off = np.repeat((np.asarray(squares) * s ** (stack_layers(s) + 1)).astype(dtype),
+                          strings)
     seen = np.zeros((groups, total), dtype=bool)
     for lo, hi in blocks(total, groups):
         m = hi - lo
-        inputs = np.tile(digit_columns(lo, hi, s, n, mul.dtype), groups)
+        inputs = np.tile(digit_columns(lo, hi, s, n, stack.dtype), groups)
         leaders = (np.repeat(tok, m) for tok in group_tok)
-        state = family_columns(mul, s, family_steps(s, n, leaders), inputs,
+        state = family_columns(stack, s, family_steps(s, n, leaders), inputs,
                                np.repeat(group_off, m))
-        seen[np.arange(groups).repeat(m), pack_columns(state, s)] = True
+        packed = pack_columns(state, s, np.min_scalar_type(total - 1))
+        seen[np.arange(groups, dtype=dtype).repeat(m), packed] = True
     return seen.reshape(len(squares), strings, total).all(axis=2)
 
 
 def _first_witnesses(squares, n, max_len, include_indices):
     """permutation_search for each of several squares of one order, by
-    length, dropping a square at its first witness."""
+    length, dropping a square at its first witness. The stacked steps of
+    all the squares are built once per search."""
     s = squares[0].order
     ntok = s + (n if include_indices else 0)
-    mul = np.concatenate([flat_table(q) for q in squares])
+    stack = stack_tables(np.concatenate([flat_table(q) for q in squares]), s)
     witnesses = [None] * len(squares)
     pending = list(range(len(squares)))
     for length in range(max_len + 1):
@@ -150,7 +161,7 @@ def _first_witnesses(squares, n, max_len, include_indices):
                 if not batch:
                     break
                 ids = digit_columns(lo, hi, ntok, length, symbol_dtype(ntok))
-                for i, hits in zip(batch, _bijective(mul, s, n, batch, ids)):
+                for i, hits in zip(batch, _bijective(stack, s, n, batch, ids)):
                     if hits.any():
                         witnesses[i] = leader_tokens(ids[:, hits.argmax()].tolist(), s)
         pending = [i for i in pending if witnesses[i] is None]
@@ -220,7 +231,7 @@ class ClassifySettings:
     include_indices: bool = False
 
     def __post_init__(self):
-        for name in ("iterations", "width"):
+        for name in ("iterations", "width", "alpha", "n", "max_len"):
             as_integer(getattr(self, name), FormatError, name)
         for name, least in (("iterations", 1), ("n", 1), ("max_len", 0), ("alpha", 0)):
             if getattr(self, name) < least:
@@ -263,35 +274,19 @@ def _start_unit(q, motif, width, iterations):
     return motif[:minimal_period(motif * 2)]
 
 
-# A step stacking m e-steps has order^(m+1) <= STACK_ENTRIES entries, so
-# its states fit a byte; MAX_LAYERS bounds m at order 1, where every m
-# qualifies. Steps are built STACK_TABLES tables at a time, which keeps the
-# build's index arrays to 32 KB at order 4: one pass over all 576 order-4
-# tables raised the census peak RSS by 0.5 MiB.
-STACK_ENTRIES = 256
-MAX_LAYERS = 8
+# The census builds its stacked steps STACK_TABLES tables at a time, which
+# keeps the build's index arrays to 32 KB at order 4: one pass over all 576
+# order-4 tables raised the census peak RSS by 0.5 MiB.
 STACK_TABLES = 64
-
-
-def stack_layers(order):
-    """m, the e-steps one stacked step takes: the most with order^(m+1) <=
-    STACK_ENTRIES, up to MAX_LAYERS. 3 at order 4, 4 at order 3, 7 at order
-    2, 2 at orders 5 and 6, 1 from order 7 up."""
-    m = 1
-    while m < MAX_LAYERS and order ** (m + 2) <= STACK_ENTRIES:
-        m += 1
-    return m
 
 
 def _stacks(tables):
     """The stack of each of several tables of one order, in order: (step, m)
-    with step[x][a] the state after symbol a from state x. A state packs
-    the symbols of m layers of e-steps in base s, the first layer most
-    significant, and layer j steps x_j <- x_j * (the symbol layer j-1 just
-    wrote, or a for the first). The steps of STACK_TABLES tables are built
-    at once in one uint8 array, which is cut into rows one table at a time,
-    so only the table in use is held as lists. With m = 1 the step is the
-    table."""
+    with step[x][a] the state after symbol a from state x, for m =
+    stack_layers(order) layers (see transforms.stack_tables). The steps of
+    STACK_TABLES tables are built at once in one uint8 array, which is cut
+    into rows one table at a time, so only the table in use is held as
+    lists. With m = 1 the step is the table."""
     s = len(tables[0])
     m = stack_layers(s)
     if m == 1:
@@ -299,15 +294,7 @@ def _stacks(tables):
         return
     for lo in range(0, len(tables), STACK_TABLES):
         mul = np.array(tables[lo:lo + STACK_TABLES], dtype=np.uint8).ravel()
-        # the narrowest dtype holding every entry and every index of mul
-        dtype = np.min_scalar_type(max(len(mul), STACK_ENTRIES) - 1)
-        cell = np.arange(s ** (m + 1), dtype=dtype)     # entry = state * s + a
-        base = np.arange(0, len(mul), s * s, dtype=dtype)[:, None]
-        prev, state = cell % s, 0
-        for j in range(m):
-            prev = mul[base + cell // s ** (m - j) % s * s + prev]
-            state = state * s + prev
-        for row in state:
+        for row in stack_tables(mul, s).reshape(-1, s ** (m + 1)):
             yield row.reshape(-1, s).tolist(), m
 
 

@@ -55,6 +55,9 @@ costs. So its attack and brute force share one exhaustive scan, the column
 sweep. Column j of every row depends only on columns 0..j of the rows above
 it and on the leaders, so the sweep steps all L rows one column at a time
 and, after column j, keeps only the tuples whose output matches b there.
+It holds m = transforms.stack_layers(s) consecutive rows as one row of
+stacked states, which one gather steps down a column, and each gather's
+bytes become that row.
 About 1/s of them survive each column, so a tuple costs about
 L * s / (s - 1) table reads rather than L * N.
 """
@@ -69,7 +72,8 @@ from . import core, transforms
 from .budget import charge, charge_power, charge_steps, over_by_exponent, refuse, resolve_budget
 from .errors import LengthMismatch, QowsError, SymbolOutOfRange
 from .transforms import blocks, check_string, digit_columns, family_columns, family_steps
-from .transforms import e_columns, flat_table, leader_ids, pack_columns, symbol_dtype
+from .transforms import flat_table, gather, index_buffer, layer_symbols, leader_ids
+from .transforms import pack_columns, pack_layers, stack_layers, stack_tables, symbol_dtype
 
 
 class AlgebraicStructureWarning(UserWarning):
@@ -195,23 +199,35 @@ def _sweep(q, ids, b, first_hit, t0, notes=()):
     """
     s, n = q.order, len(b)
     steps = tuple(family_steps(s, n, ids))
-    # down a column the step is x <- left * x, x the row above's new symbol
-    mul_t = flat_table(q).reshape(s, s).T.ravel()
+    m = stack_layers(s)
+    groups = [steps[g:g + m] for g in range(0, len(steps), m)]
+    stack = stack_tables(flat_table(q), s)
     found, scanned, lookups = [], 0, 0
     for lo, hi in blocks(s**n):
-        inputs = digit_columns(lo, hi, s, n, mul_t.dtype)
+        inputs = digit_columns(lo, hi, s, n, stack.dtype)
         scanned += inputs.shape[1]
-        # row i holds step i's leader, then its output at the last column
-        # stepped; a tuple leaves state and inputs at its first miss
-        state = np.empty((len(steps), inputs.shape[1]), mul_t.dtype)
-        for row, t in zip(state, steps):
-            row[...] = t if t < s else inputs[t - s]
+        # one row per group of m steps: its layers' leaders, then their
+        # state after the last column stepped, packed (pack_layers); each
+        # gather's bytes become the row. A tuple leaves the rows at its
+        # first miss; alive, once a column has been stepped, holds the
+        # block columns of the tuples left, and inputs stays whole
+        rows = [pack_layers([t if t < s else inputs[t - s] for t in group], s)
+                for group in groups]
+        alive = None
         for j in range(n):
-            e_columns(mul_t, s, inputs[j], state)
-            lookups += state.size
-            keep = np.flatnonzero(state[-1] == b[j])
-            state, inputs = state.take(keep, axis=1), inputs.take(keep, axis=1)
-        found += map(tuple, inputs[:, :1 if first_hit else None].T.tolist())
+            # down a column, a group's last layer leads the next group
+            a = inputs[j] if alive is None else inputs[j].take(alive)
+            buf = index_buffer(stack, len(a))
+            symbols = np.empty_like(a) if m > 1 else None
+            for g, group in enumerate(groups):
+                rows[g] = a = gather(stack, s, rows[g], a, buf)
+                if m > 1:
+                    a = layer_symbols(a, s, len(group), out=symbols)
+            lookups += len(steps) * len(a)
+            keep = np.flatnonzero(a == b[j])
+            rows = [row.take(keep) for row in rows]
+            alive = keep if alive is None else alive.take(keep)
+        found += map(tuple, inputs[:, alive[:1 if first_hit else None]].T.tolist())
         if first_hit and found:
             break
     return AttackTrace(preimages=found, guesses=scanned, lookups=lookups,
@@ -242,11 +258,12 @@ def count_dtype(domain):
     return np.dtype(np.uint32 if domain < 1 << 32 else np.uint64)
 
 
-def _count_block(counts, mul, s, n, steps, lo, hi):
+def _count_block(counts, stack, s, n, steps, lo, hi):
     """Add the images of inputs lo..hi-1 into counts, packed in their
-    dtype. The block's digit rows, image and packed images are gone when
-    it returns, before the next block is built."""
-    image = family_columns(mul, s, steps, digit_columns(lo, hi, s, n, mul.dtype))
+    dtype, through stack, the table's stacked step. The block's digit
+    rows, image and packed images are gone when it returns, before the
+    next block is built."""
+    image = family_columns(stack, s, steps, digit_columns(lo, hi, s, n, stack.dtype))
     # a typed one: with a Python int, narrow counts take a slow casting path
     np.add.at(counts, pack_columns(image, s, counts.dtype), counts.dtype.type(1))
 
@@ -256,11 +273,11 @@ def preimage_histogram(spec, budget=None):
     in count_dtype(s^N), one block of inputs at a time."""
     s, n = spec.q.order, spec.n
     _charge_scan(s, n, len(spec.leaders), budget, "domain size")
-    mul = flat_table(spec.q)
+    stack = stack_tables(flat_table(spec.q), s)
     steps = tuple(family_steps(s, n, leader_ids(spec)))
     counts = np.zeros(s**n, dtype=count_dtype(s**n))
     for lo, hi in blocks(s**n):
-        _count_block(counts, mul, s, n, steps, lo, hi)
+        _count_block(counts, stack, s, n, steps, lo, hi)
     return PreimageHistogram(counts=counts, order=s, n=n)
 
 

@@ -29,6 +29,11 @@ pack_string's, which has a base and no quasigroup.
 Besides the pure-Python reference steps, two vectorized forms run the same
 step: e_columns over many independent strings, and e_iterates over the grid
 of a string and its iterates with a constant leader, the renderer's input.
+The bulk scans (family_columns, and the column sweep of inversion) step m =
+stack_layers(order) e-steps per gather through one stacked step of at most
+256 entries (stack_tables), whose states pack m symbols in a byte: 3 at
+order 4, 1 from order 7 up, where the stacked step is the table. The
+census's period engine cuts its rows from the same builder.
 That grid is swept in b x b tiles, b = tile_side(order), the largest with
 order^(2b) <= TILE_ENTRIES (3 at order 4, 1 from order 9 up): a tile
 follows from the b symbols left of it and the b above it, so one table of
@@ -137,46 +142,125 @@ def flat_table(q):
     return np.array(q.table, dtype=symbol_dtype(q.order)).ravel()
 
 
-def e_columns(mul, order, leader, state, offset=None):
-    """e_transform of every column of the (n, count) state, in place and
-    unchecked. leader is a symbol or one per column. mul is flat_table(q)
-    (or its transpose, for the step x <- left * x down a column), or
-    several tables stacked with offset the start of each column's.
+# A stacked step of m e-steps has order^(m+1) <= STACK_ENTRIES entries, so
+# its states fit a byte and it gathers through the byte table; MAX_LAYERS
+# bounds m at order 1, where every m qualifies.
+STACK_ENTRIES = 256
+MAX_LAYERS = 8
 
-    The index prev * order + row (+ offset) is built in the narrowest
-    unsigned dtype holding len(mul) - 1, uint8 up to order 16. That is
-    exact: a leader or symbol is below order and offset + order^2 <=
-    len(mul), so no index, nor any partial sum, passes len(mul) - 1; the
-    leader and offset casts into that dtype are unsafe only by type.
 
-    A table of at most 256 entries (a uint8 index) is gathered by
-    bytearray.translate through mul's bytes padded to 256 with 255, a
-    symbol no order up to 16 has, so a 255 in the result is an index past
-    the table and raises IndexError as np.take does. That spares take's
-    widening of the index to intp on every row: 6 rows of 2^18 columns
-    take 1.0-1.7 ms against 3.9-4.5 ms at orders 4, 8 and 16 (2-core
-    x86-64, numpy 2.4.6). Wider tables gather with np.take.
+@functools.lru_cache(maxsize=256)
+def stack_layers(order):
+    """m, the e-steps one stacked step takes: the most with order^(m+1) <=
+    STACK_ENTRIES, up to MAX_LAYERS. 3 at order 4, 4 at order 3, 7 at order
+    2, 2 at orders 5 and 6, 1 from order 7 up. Kept for the 256 orders last
+    asked, as the small scans of a witness search ask it once a row."""
+    m = 1
+    while m < MAX_LAYERS and order ** (m + 2) <= STACK_ENTRIES:
+        m += 1
+    return m
+
+
+def stack_tables(mul, order):
+    """The stacked step of each of the flat tables of that order laid end
+    to end in mul, laid end to end the same way: in a table's step, entry
+    state * order + a is the state after symbol a from state. A state
+    packs the symbols of m = stack_layers(order) layers of e-steps in base
+    order, the first layer most significant, and layer j steps x_j <- x_j *
+    (the symbol layer j-1 just wrote, or a for the first). The steps are in
+    mul's dtype, uint8 up to order 6; with m = 1, from order 7 up, they
+    are a copy of mul.
     """
-    idx = np.empty(state.shape[1], dtype=np.min_scalar_type(len(mul) - 1))
-    lut = None
-    if idx.dtype == np.uint8:
-        buf = bytearray(len(idx))
-        idx = np.frombuffer(buf, np.uint8)
-        lut = mul.tobytes().ljust(256, b"\xff")
-    prev = leader
+    m = stack_layers(order)
+    # the narrowest dtype holding every entry and every index of mul
+    dtype = np.min_scalar_type(max(len(mul), STACK_ENTRIES) - 1)
+    cell = np.arange(order ** (m + 1), dtype=dtype)     # entry = state * s + a
+    base = np.arange(0, len(mul), order * order, dtype=dtype)[:, None]
+    prev, state = cell % order, 0
+    for j in range(m):
+        prev = mul[base + cell // order ** (m - j) % order * order + prev]
+        state = state * order + prev
+    return state.astype(mul.dtype, copy=False).ravel()
+
+
+def pack_layers(leaders, order):
+    """The state of a stacked step (stack_tables) whose first len(leaders)
+    layers hold leaders, each a symbol or one per column, and whose other
+    layers hold 0."""
+    spare = [0] * (stack_layers(order) - len(leaders))
+    return functools.reduce(lambda x, l: x * order + l, [*leaders, *spare])
+
+
+def layer_symbols(x, order, k, out=None):
+    """The symbol that layer k (1 for the first) of the stacked states x
+    holds, into out: x // order^(m-k) % order, with the remainder taken as
+    a difference, as numpy divides a uint8 by a scalar far faster than it
+    takes one's remainder."""
+    d = order ** (stack_layers(order) - k)
+    x = x // d if d > 1 else x
+    out = np.multiply(np.floor_divide(x, order, out=out), order, out=out)
+    return np.subtract(x, out, out=out)
+
+
+def index_buffer(mul, width):
+    """The buffer that gather builds width indices into mul in: a bytearray
+    for a table of at most 256 entries, else an array of the narrowest
+    unsigned dtype holding len(mul) - 1, uint8 up to order 16 and for the
+    stacked step of one table."""
+    if len(mul) <= 256:
+        return bytearray(width)
+    return np.empty(width, np.min_scalar_type(len(mul) - 1))
+
+
+def gather(mul, order, x, a, buf, offset=None):
+    """mul[x * order + a (+ offset)] for every column, unchecked, as a new
+    array: x and a are symbols or states, one per column (x may be one for
+    all), and the index is built in buf, an index_buffer(mul) as wide as a.
+
+    That is exact: x * order + a + offset is at most len(mul) - 1, so no
+    partial sum passes it either; the casts of x and offset into buf's
+    dtype are unsafe only by type.
+
+    A table of at most 256 entries is gathered by bytearray.translate
+    through its bytes padded to 256 with 255, and the result is an array
+    over the translated bytes, not a copy. 255 is no state and no symbol
+    of an order up to 16, so a 255 in the result is an index past the
+    table and raises IndexError as np.take does. That spares take's
+    widening of the index to intp: 6 rows of 2^18 columns take 1.0-1.7 ms
+    against 3.9-4.5 ms at orders 4, 8 and 16 (2-core x86-64, numpy
+    2.4.6). Wider tables gather with np.take.
+    """
+    idx = np.frombuffer(buf, np.uint8) if isinstance(buf, bytearray) else buf
+    np.multiply(x, order, out=idx, dtype=idx.dtype, casting="unsafe")
+    idx += a
+    if offset is not None:
+        np.add(idx, offset, out=idx, dtype=idx.dtype, casting="unsafe")
+    if len(mul) > 256:
+        return np.take(mul, idx)
+    got = buf.translate(mul.tobytes().ljust(256, b"\xff"))
+    if len(mul) < 256 and 255 in got:
+        raise IndexError(f"index past the {len(mul)}-entry table")
+    return np.frombuffer(got, np.uint8)
+
+
+def e_columns(mul, order, leader, state, offset=None, layers=None):
+    """e_transform of every column of the (n, count) state, in place and
+    unchecked. leader is a symbol or one per column. mul is flat_table(q),
+    or several tables laid end to end with offset the start of each
+    column's; each row is one gather.
+
+    With layers = k, mul is instead the stacked step of such tables
+    (stack_tables), offset the start of each column's step, and leader the
+    packed state of k layers (pack_layers): one gather a row steps all k,
+    and the row becomes the symbol of layer k.
+    """
+    buf, x = index_buffer(mul, state.shape[1]), leader
     for row in state:
-        np.multiply(prev, order, out=idx, dtype=idx.dtype, casting="unsafe")
-        idx += row
-        if offset is not None:
-            np.add(idx, offset, out=idx, dtype=idx.dtype, casting="unsafe")
-        if lut is None:
-            np.take(mul, idx, out=row)
+        x = gather(mul, order, x, row, buf, offset)
+        if layers is not None and stack_layers(order) > 1:
+            layer_symbols(x, order, layers, out=row)
         else:
-            got = buf.translate(lut)
-            if len(mul) < 256 and 255 in got:
-                raise IndexError(f"index past the {len(mul)}-entry table")
-            row[...] = np.frombuffer(got, np.uint8)
-        prev = row
+            row[...] = x
     return state
 
 
@@ -395,21 +479,25 @@ def pack_columns(state, base, dtype=np.intp):
     return packed
 
 
-def family_columns(mul, order, steps, inputs, offset=None):
-    """One e-step per step on a copy of inputs, unchecked; mul and offset
-    as for e_columns. A step is a token id, or an array of one per column
+def family_columns(stack, order, steps, inputs, offset=None):
+    """One e-step per step on a copy of inputs, unchecked, m =
+    stack_layers(order) steps a gather: stack is the stacked step
+    (stack_tables) of the table, or of several with offset the start of
+    each column's. A step is a token id, or an array of one per column
     (resolved in place). Id l < order leads with the constant l, id
     order + j with each column's input symbol j.
     """
     state = inputs.copy()
-    for step in steps:
-        if np.ndim(step):
-            if step.max() >= order:
-                cols = np.flatnonzero(step >= order)
-                step[cols] = inputs[step[cols] - order, cols]
-        elif step >= order:
-            step = inputs[step - order]
-        e_columns(mul, order, step, state, offset)
+    steps = iter(steps)
+    while group := list(itertools.islice(steps, stack_layers(order))):
+        for i, step in enumerate(group):
+            if np.ndim(step):
+                if step.max(initial=0) >= order:
+                    cols = np.flatnonzero(step >= order)
+                    step[cols] = inputs[step[cols] - order, cols]
+            elif step >= order:
+                group[i] = inputs[step - order]
+        e_columns(stack, order, pack_layers(group, order), state, offset, len(group))
     return state
 
 

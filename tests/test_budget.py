@@ -131,6 +131,18 @@ REFUSALS = {
     "settings-width-not-integer": (
         DEFAULT_BUDGET, lambda q: ClassifySettings(width=8.0),
         FormatError("width must be an integer, got 8.0")),
+    # alpha, n and max_len are refused with the settings too, where an
+    # alpha of 2.5 gave a threshold of 320.0 and an n or max_len that is
+    # no integer was refused only after every leader had been profiled
+    "settings-alpha-not-integer": (
+        DEFAULT_BUDGET, lambda q: ClassifySettings(alpha=2.5),
+        FormatError("alpha must be an integer, got 2.5")),
+    "settings-n-not-integer": (
+        DEFAULT_BUDGET, lambda q: ClassifySettings(n=2.5),
+        FormatError("n must be an integer, got 2.5")),
+    "settings-max-len-not-integer": (
+        DEFAULT_BUDGET, lambda q: ClassifySettings(max_len=1.5),
+        FormatError("max_len must be an integer, got 1.5")),
     "period-profile-iterations-not-integer": (
         DEFAULT_BUDGET, lambda q: period_profile(q, 0, (0, 1, 2, 3), 4096, 2.5),
         FormatError("iterations must be an integer, got 2.5")),

@@ -36,7 +36,7 @@ from qows import (
     random_latin,
     serialize_leaders,
 )
-from qows import classification
+from qows import classification, transforms
 from qows.classification import _first_witnesses
 
 import data
@@ -388,7 +388,7 @@ class TestCensus:
         assert len(never) == 32 and never[-1] == 128
 
     def test_stack_layers(self):
-        assert [classification.stack_layers(s) for s in range(1, 9)] == [8, 7, 4, 3, 2, 2, 1, 1]
+        assert [transforms.stack_layers(s) for s in range(1, 9)] == [8, 7, 4, 3, 2, 2, 1, 1]
 
     def test_unit_profile_matches_the_single_layer_loop(self):
         # random squares of orders 1-8, so 1 to 8 layers a round; iteration
@@ -402,7 +402,7 @@ class TestCensus:
             motif = [rng.randrange(s) for _ in range(rng.randint(1, 6))]
             unit = motif[:minimal_period(motif * 2)]
             width = len(motif) * rng.choice([1, 2, 3, 5, 8, 16, 64, 256, 1024])
-            iterations = rng.randint(1, 3 * classification.stack_layers(s) + 2)
+            iterations = rng.randint(1, 3 * transforms.stack_layers(s) + 2)
             leader = rng.randrange(s)
             got = classification._unit_profile(classification._stack(q.table), leader,
                                                unit, width, iterations)

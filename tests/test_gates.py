@@ -1,8 +1,10 @@
 """The CI gates that run under the tests: the text of two demos, a
 histogram record and a set of attack records, each run as a user runs it,
 in a fresh interpreter, and compared byte for byte with the output pinned
-by its SHA-256; and two commands that must end within a time bound, an
-order-128 gen and a witness search too large for the budget.
+by its SHA-256; a 4^11 histogram record, which must be the same written
+to --out and to stdout, within a bound on peak RSS; and two commands that
+must end within a time bound, an order-128 gen and a witness search too
+large for the budget.
 
 Each command runs as sys.executable -m qows.cli, and each demo as
 sys.executable -bb demos/<name>.py, with this checkout's src first on the
@@ -61,6 +63,33 @@ def test_histogram_record_unchanged():
     # digest is that of the record as written before it was built in blocks
     record = _qows("histogram", "--index", "355", "--N", "10", "--leaders", "3,i1")
     assert _sha256(record) == "22bd9d92e4820de93f242d122e7446be72f6998d01be71e5bb0f401497c5892f"
+
+
+# the 20 MB record of a 4^11 domain is written a block of lines at a time
+# and counted in uint32, one block of inputs at a time, so the command peaks
+# at about 53 MiB RSS: 69-71 MiB with int64 counts, and 106 MiB when it
+# held the record whole
+HISTOGRAM_RSS_MIB = 64
+
+
+def _peak_rss_mib(*argv):
+    """The peak RSS in MiB of argv, run to exit 0 from a fresh wrapper
+    interpreter whose only child it is, so that no other process the
+    tests ran counts; its stdout is dropped."""
+    wrapper = ("import resource, subprocess, sys\n"
+               "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)\n"
+               "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    return int(_run(sys.executable, "-c", wrapper, *argv)) / 1024
+
+
+def test_histogram_record_streamed(tmp_path):
+    # --out must hold what stdout gets, and the --out run stays under the
+    # bound
+    histogram = ["histogram", "--index", "355", "--N", "11", "--leaders", "3,i1"]
+    out = tmp_path / "h11"
+    rss = _peak_rss_mib(sys.executable, "-m", "qows.cli", *histogram, "--out", str(out))
+    assert _sha256(out.read_bytes()) == _sha256(_qows(*histogram))
+    assert rss < HISTOGRAM_RSS_MIB
 
 
 def test_attack_records_unchanged(tmp_path):

@@ -39,6 +39,7 @@ from qows import (
     unpack_string,
 )
 from qows.inversion import count_dtype
+from qows.transforms import stack_layers
 
 import data
 from oracles import (reference_attack_r1, reference_attack_r2, reference_histogram,
@@ -505,6 +506,39 @@ class TestSweep:
                 == (got2.preimages, got2.guesses, got2.lookups))
         assert got.preimages == (want[:1] if first_hit else want)
         assert got.guesses == _scanned(first_hit, want, order, n, chunk)
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_stacked_sweep_matches_references(self, order):
+        # L + 2N steps either side of multiples of m = stack_layers(order),
+        # so a last group of 1 to m layers; Const and Index leaders; one
+        # block, and blocks of 7 tuples, with first_hit off and on. lookups
+        # counts one read a step for every tuple scanned whose image agrees
+        # with b on the columns before
+        m, rnd = stack_layers(order), random.Random(order)
+        q = Quasigroup(data.shuffled_cyclic(order, rnd))
+        for n in (1, 2, 3):
+            inputs = list(itertools.product(range(order), repeat=n))
+            for nlead in sorted({0, 1} | {k * m + d - 2 * n for k in (1, 2) for d in (-1, 1)}):
+                if nlead < 0:
+                    continue
+                spec = OwfSpec(q, n, [_token(order, rnd.randrange(order + n))
+                                      for _ in range(nlead)])
+                b = r_n(spec, rnd.choice(inputs))
+                images = [r_n(spec, a) for a in inputs]
+                want = reference_preimages(spec, b)
+                if not nlead:
+                    assert reference_attack_r2(q, b) == (want, order**n)
+                for chunk, first_hit in itertools.product((order**n, 7), (False, True)):
+                    scanned = _scanned(first_hit, want, order, n, chunk)
+                    agree = sum(img[:j] == b[:j] for img in images[:scanned] for j in range(n))
+                    trace = (want[:1] if first_hit else want, scanned, (nlead + 2 * n) * agree)
+                    with mock.patch("qows.transforms.CHUNK_COLUMNS", chunk):
+                        got = brute_preimages(spec, b, first_hit=first_hit)
+                        assert (got.preimages, got.guesses, got.lookups) == trace, \
+                            (n, nlead, chunk, first_hit)
+                        if not nlead:
+                            got = attack_r2(q, b, first_hit=first_hit)
+                            assert (got.preimages, got.guesses, got.lookups) == trace
 
     @pytest.mark.parametrize("leaders", [
         (), (Const(16), Const(0)), (Index(0), Const(5), Index(2))])

@@ -45,6 +45,8 @@ from qows.transforms import (
     leader_ids,
     leader_tokens,
     pack_columns,
+    stack_layers,
+    stack_tables,
     symbol_dtype,
     tile_side,
 )
@@ -355,6 +357,52 @@ class TestIterates:
         assert peak <= ITERATES_MEMORY_FACTOR * (height + width) * min(height, width)
 
 
+def _stepped_by_e_row(tabs, which, steps, strings, order):
+    """Each column's string after the steps, one e_row a step on its own
+    table: a step is one token id for every column or a list of one per
+    column, and id t >= order leads with the column's input symbol t -
+    order."""
+    out = []
+    for k, (w, a) in enumerate(zip(which, strings)):
+        row = a
+        for step in steps:
+            t = step if isinstance(step, int) else step[k]
+            row = e_row(tabs[w], t if t < order else a[t - order], row)
+        out.append(tuple(row))
+    return out
+
+
+class TestStackedStep:
+    """The stacked step, m = stack_layers(order) e-steps a gather, against
+    e_row one step and one column at a time."""
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_family_columns_match_e_row(self, order):
+        # step counts either side of m and 2m, so a last group of 1 to m
+        # layers, whose symbol is no bit mask at orders 3, 5 and 6 (and at
+        # order 1, MAX_LAYERS caps m); constant and index leaders, one for
+        # every column or one per column; 0, 1 and odd numbers of columns;
+        # three tables through offsets, and one without
+        m, rnd = stack_layers(order), random.Random(order)
+        tabs = [data.shuffled_cyclic(order, rnd) for _ in range(3)]
+        flat = [np.array(t, np.uint8).ravel() for t in tabs]
+        for steps, count, tables in itertools.product(
+                sorted({1, m - 1, m + 1, 2 * m + 1} - {0}), (0, 1, 7, 301), (3, 1)):
+            n = rnd.randint(1, 4)
+            strings = [tuple(rnd.randrange(order) for _ in range(n)) for _ in range(count)]
+            inputs = np.array(strings, np.uint8).reshape(count, n).T.copy()
+            ids = [rnd.randrange(order + n) if rnd.random() < 0.5
+                   else [rnd.randrange(order + n) for _ in range(count)] for _ in range(steps)]
+            which = [rnd.randrange(tables) for _ in range(count)]
+            offset = np.array(which, np.intp) * order ** (m + 1) if tables > 1 else None
+            got = family_columns(stack_tables(np.concatenate(flat[:tables]), order), order,
+                                 [t if isinstance(t, int) else np.array(t) for t in ids],
+                                 inputs, offset)
+            assert _columns(got) == _stepped_by_e_row(tabs, which, ids, strings, order), \
+                (steps, count, tables)
+            assert _columns(inputs) == strings
+
+
 class TestFamilyColumns:
     """The shared family evaluator against r_n and r1, column by column."""
 
@@ -365,11 +413,12 @@ class TestFamilyColumns:
     @example(300, random.Random(2), 3, 5, 2)
     @settings(max_examples=40, deadline=None)
     def test_matches_reference(self, order, rnd, n, count, nlead):
-        # two stacked tables; each column picks one through its offset
+        # the stacked steps of two tables; each column picks one through
+        # its offset
         squares = [Quasigroup(data.shuffled_cyclic(order, rnd)) for _ in range(2)]
-        mul = np.concatenate([flat_table(q) for q in squares])
+        mul = stack_tables(np.concatenate([flat_table(q) for q in squares]), order)
         which = [rnd.randrange(2) for _ in range(count)]
-        offset = np.array(which, dtype=np.intp) * (order * order)
+        offset = np.array(which, dtype=np.intp) * order ** (stack_layers(order) + 1)
         strings = [tuple(rnd.randrange(order) for _ in range(n)) for _ in range(count)]
         inputs = np.array(strings, dtype=symbol_dtype(order)).T.copy()
 
@@ -401,7 +450,7 @@ class TestFamilyColumns:
         spec = OwfSpec(ref_square, 3, (Const(3), Index(2), Const(0), Index(0)))
         assert leader_ids(spec) == (3, 6, 0, 4)
         a = (2, 0, 1)
-        mul = flat_table(ref_square)
+        mul = stack_tables(flat_table(ref_square), 4)
         inputs = np.array([a], dtype=np.uint8).T.copy()
         got = family_columns(mul, 4, family_steps(4, 3, leader_ids(spec)), inputs)
         assert _columns(got) == [r_n(spec, a)]
