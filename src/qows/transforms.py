@@ -37,8 +37,9 @@ census's period engine cuts its rows from the same builder.
 That grid is swept in b x b tiles, b = tile_side(order), the largest with
 order^(2b) <= TILE_ENTRIES (3 at order 4, 1 from order 9 up): a tile
 follows from the b symbols left of it and the b above it, so one table of
-all tiles is built per call and each anti-diagonal of tiles is two takes
-and an add.
+all tiles' (right, bottom) edges is built per call, and each anti-diagonal
+of tiles is one add of the last one's edges into the new tiles' ids and
+one take of their edges.
 """
 import functools
 import itertools
@@ -279,40 +280,43 @@ def tile_side(order):
     return b
 
 
-def _tile_table(q, leader, b):
-    """The table of e_iterates' b x b tiles under the constant leader:
-    (right, bottom, rows) over the tile ids, s^(2b) real ones and s^b + 1
-    virtual ones.
+def _tile_table(q, b, cells):
+    """The table of e_iterates' b x b tiles, with each symbol written as
+    the item cells[v]: (pairs, words) over the s^(2b) tile ids.
 
-    A word is b symbols packed base s, the first most significant. Id
-    i < s^(2b) is the tile whose left word (the b symbols left of it, top
-    to bottom) is i // s^b and whose top word (the b above it) is
-    i % s^b; rows[r, i] is the word of its row r, right[i] its right edge
-    times s^b, and bottom[i] its bottom edge. Virtual id s^(2b) + w has
-    bottom edge w, and virtual id s^(2b) + s^b the leader's word as its
-    right edge. Row r is one e-step of the word above it led by the left
-    word's symbol r, so each row is one take from the steps of all
-    s^(b+1) (symbol, word) pairs.
+    A word is b symbols packed base s, the first most significant. Id i is
+    the tile whose left word (the b symbols left of it, top to bottom) is
+    i // s^b and whose top word (the b above it) is i % s^b; words[r *
+    s^(2b) + i] is its row r, its b cells as one item, and pairs[i] its
+    edges (right, bottom): its right edge's word times s^b and its bottom
+    edge's word, so that a tile's id is its left neighbour's right plus
+    the bottom of the tile above it. Row r is one e-step of the word above
+    it led by the left word's symbol r, so each row is one take from the
+    steps of all s^(b+1) (symbol, word) pairs; at b = 1 the one row is q's
+    flat table, and the edges of cell value v are (v * s, v).
     """
     s = q.order
     span = s**b
     count = span * span
-    dtype = np.min_scalar_type(count + span)
-    # steps[l * span + w]: word w after one e-step led by l
-    digits = digit_columns(0, s * span, s, b + 1, symbol_dtype(s))
-    lefts = np.repeat(np.multiply(digits[1:, :span], span, dtype=dtype), span, axis=1)
-    steps = pack_columns(e_columns(flat_table(q), s, digits[0], digits[1:]), s).astype(dtype)
-    rows = np.empty((b, count), dtype)
-    right, bottom = np.zeros((2, count + span + 1), dtype)
-    above = np.tile(np.arange(span, dtype=dtype), span)
-    for r in range(b):
-        pairs = lefts[r] + above
-        above = rows[r] = steps[pairs]
-        right[:count] = right[:count] * s + above % s * span
-    right[-1] = sum(leader * s**i for i in range(b)) * span
-    bottom[:count] = rows[-1]
-    bottom[count:-1] = np.arange(span)
-    return right, bottom, rows
+    dtype = np.min_scalar_type(count - 1)
+    pairs = np.zeros((count, 2), dtype)
+    if b == 1:
+        rows = flat_table(q)[None]
+        np.multiply(rows[0], s, out=pairs[:, 0], dtype=dtype)
+    else:
+        # steps[l * span + w]: word w after one e-step led by l
+        digits = digit_columns(0, s * span, s, b + 1, symbol_dtype(s))
+        lefts = np.repeat(np.multiply(digits[1:, :span], span, dtype=dtype), span, axis=1)
+        steps = pack_columns(e_columns(flat_table(q), s, digits[0], digits[1:]), s).astype(dtype)
+        rows = np.empty((b, count), dtype)
+        above = np.tile(np.arange(span, dtype=dtype), span)
+        for r in range(b):
+            above = rows[r] = steps[lefts[r] + above]
+            pairs[:, 0] = pairs[:, 0] * s + above % s * span
+    pairs[:, 1] = rows[-1]
+    # spelled[w]: the b cells of word w
+    spelled = cells.take(np.arange(span)[:, None] // s ** np.arange(b - 1, -1, -1) % s)
+    return pairs, spelled.view(f"V{b * cells.itemsize}")[:, 0].take(rows.ravel())
 
 
 # Tile ids per band of e_iterates' expansion, which bounds its index and
@@ -333,59 +337,74 @@ def e_iterates(q, leader, row, iterations, cells=None, out=None):
     of column 0. Rows 1..iterations are cut into b x b tiles, b =
     tile_side(order). A tile's cells depend only on the b symbols left of
     it and the b above it, so each tile is an id into one table built per
-    call (_tile_table), and tile (i, j) is right[tile (i, j-1)] +
-    bottom[tile (i-1, j)]: every anti-diagonal of tiles follows from the
-    one before in two takes and an add. At order 4 (b = 3) a 600 x 600
-    grid takes 399 anti-diagonals of tiles instead of 1199 of cells; at
-    b = 1 the table is T and a tile is a cell. The leader is a virtual
-    column of tiles left of column 0, and row 0 a virtual row above row 1.
+    call (_tile_table), which holds each tile's (right, bottom) edges as
+    one item of twice the id's size: tile (i, j) is the right edge of tile
+    (i, j-1) plus the bottom edge of tile (i-1, j). The leader is a
+    virtual column of tiles left of column 0, and row 0 a virtual row
+    above row 1; their edges are known before the sweep. One row of edge
+    items, tile i of the last anti-diagonal in slot i, carries the sweep:
+    each anti-diagonal is one add of that row's right and bottom edges
+    into the new tiles' ids and one take of their edges back into the
+    row, and then its virtual tiles' edges are set as scalars. At order 4
+    (b = 3) a 600 x 600 grid takes 399 anti-diagonals of tiles instead of
+    1199 of cells; at b = 1 the table is T and a tile is a cell.
 
     With R rows and C columns of tiles, the ids are stored skewed,
     anti-diagonal d as row d of a buffer of (R + C + 1) * (min(R, C) + 1)
     ids, and read back through a strided view; a grid with more rows of
     tiles than columns is swept as its transpose, with right and bottom
-    swapped. The tiles' rows are then mapped through cells once, each row
-    of a tile one item of b cells, and the ids are expanded with them
-    straight into out, one take per band of about EXPAND_IDS ids, so every
-    temporary stays small; the padding below the last row is never
-    expanded, and when b does not divide the width each band is cropped
-    on its way into out.
+    swapped. Each anti-diagonal is swept as one whole row of that buffer,
+    through views built once: its slots past the grid's end, or past the
+    virtual column on the first min(R, C) anti-diagonals, get ids that no
+    tile of the grid reads. The ids are then expanded with the tiles'
+    rows, mapped through cells when the table is built, straight into
+    out, one take per band of about EXPAND_IDS ids, so every temporary
+    stays small; the padding below the last row is never expanded, and
+    when b does not divide the width each band is cropped on its way into
+    out.
     """
     s, width = q.order, len(row)
     dtype = symbol_dtype(s)
     cells = np.arange(s, dtype=dtype) if cells is None else cells
     out = np.empty((iterations + 1, width), cells.dtype) if out is None else out
     b = tile_side(s)
-    right, bottom, rows = _tile_table(q, leader, b)
-    count = s ** (2 * b)
+    pairs, words = _tile_table(q, b, cells)
+    offsets = np.arange(0, len(words), len(pairs))[:, None]
     n, m = -(-iterations // b) + 1, -(-width // b) + 1
     padded = np.zeros((m - 1) * b, dtype)
     padded[:width] = row
-    top = pack_columns(padded.reshape(m - 1, b).T, s) + count
-    left = len(right) - 1
+    # the virtual tiles: word w above row 1, or the leader's left of
+    # column 0, has the edges (w * s^b, w)
+    item = f"u{2 * pairs.itemsize}"
+    virtual = np.append(pack_columns(padded.reshape(m - 1, b).T, s),
+                        sum(leader * s**i for i in range(b)))
+    virtual = np.stack((virtual * s**b, virtual), 1).astype(pairs.dtype)
+    virtual = virtual.view(item)[:, 0].tolist()
+    top, left, fields = virtual[:-1], virtual[-1:] * (n - 1), (0, 1)
     tall = n > m
     if tall:
-        right, bottom, top, left, n, m = bottom, right, left, top, m, n
-    buf = np.empty((n + m - 1, n), right.dtype)
-    flat = buf.ravel()
-    flat[n:m * n:n] = top                # tile (0, d) is buf[d, 0]
-    flat[n + 1:n * (n + 1):n + 1] = left   # tile (d, 0) is buf[d, d]
-    for d in range(2, n + m - 1):
-        # tiles (i, d - i) for lo <= i < hi; left (i, d-1-i) and up
-        # (i-1, d-i) are buf[d-1, i] and buf[d-1, i-1]
-        lo, hi = max(1, d - m + 1), min(n, d)
-        prev, cur = buf[d - 1], buf[d, lo:hi]
-        # indices are in range; mode "raise" would buffer out
-        right.take(prev[lo:hi], out=cur, mode="clip")
-        cur += bottom.take(prev[lo - 1:hi - 1], mode="clip")
+        top, left, n, m, fields = left, top, m, n, (1, 0)
+    buf = np.empty((n + m - 1, n), pairs.dtype)
+    edges = np.zeros((n, 2), pairs.dtype)
+    items, pairs = edges.view(item)[:, 0], pairs.view(item)[:, 0]
+    # slot i of the edges holds those of tile (i, d - i) of the last
+    # anti-diagonal d swept, its left neighbour's for tile (i, d + 1 - i)
+    # and its upper neighbour's for tile (i + 1, d - i); the add reads all
+    # of them before the take overwrites them
+    rights, bottoms, tail = edges[1:, fields[0]], edges[:-1, fields[1]], items[1:]
+    for d, ids in enumerate(buf[1:, 1:], 1):
+        # every slot but 0, a whole row: a slot past the grid's right end
+        # (i < d - m + 1) or not yet in it (i >= d) is read by no tile of
+        # the grid; indices are in range, and mode "raise" would buffer out
+        np.add(rights, bottoms, out=ids)
+        pairs.take(ids, out=tail, mode="clip")
+        if d < m:
+            items[0] = top[d - 1]
+        if d < n:
+            items[d] = left[d - 1]
     tiles = np.lib.stride_tricks.as_strided(
         buf, (n, m), ((n + 1) * buf.itemsize, n * buf.itemsize))
     tiles = (tiles.T if tall else tiles)[1:, 1:]
-    # spelled[w]: the b cells of word w; words[r * count + i]: row r of
-    # tile i, its b cells as one item
-    spelled = cells.take(np.arange(s**b)[:, None] // s ** np.arange(b - 1, -1, -1) % s)
-    words = spelled.view(f"V{b * cells.itemsize}")[:, 0].take(rows.ravel())
-    offsets = np.arange(0, b * count, count)[:, None]
     band = max(1, EXPAND_IDS // (b * tiles.shape[1]))
     out[0] = cells[padded[:width]]
     for t in range(0, len(tiles), band):

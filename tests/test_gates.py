@@ -1,24 +1,26 @@
-"""The CI gates that run under the tests: the text of two demos, a
-histogram record and a set of attack records, each run as a user runs it,
-in a fresh interpreter, and compared byte for byte with the output pinned
-by its SHA-256; a 4^11 histogram record, which must be the same written
-to --out and to stdout, within a bound on peak RSS; and two commands that
-must end within a time bound, an order-128 gen and a witness search too
-large for the budget.
+"""The CI gates that run under the tests: the text of two demos, the two
+images the render demo writes, a histogram record and a set of attack
+records, each run as a user runs it, in a fresh interpreter, and compared
+byte for byte with the output pinned by its SHA-256; a 4^11 histogram
+record, which must be the same written to --out and to stdout, within a
+bound on peak RSS; and two commands that must end within a time bound, an
+order-128 gen and a witness search too large for the budget.
 
 Each command runs as sys.executable -m qows.cli, and each demo as
-sys.executable -bb demos/<name>.py, with this checkout's src first on the
-child's PYTHONPATH.
+sys.executable -bb on its file (a copy, for the demo that writes files
+next to itself), with this checkout's src first on the child's PYTHONPATH.
 """
 import hashlib
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 from qows import parse_quasigroup
+from test_acceptance import RENDER_SHA256
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -56,6 +58,17 @@ DEMO_TEXT = {
 @pytest.mark.parametrize("demo", DEMO_TEXT)
 def test_demo_text_unchanged(demo):
     assert _sha256(_run(sys.executable, "-bb", f"demos/{demo}.py")) == DEMO_TEXT[demo]
+
+
+def test_demo_renders_unchanged(tmp_path):
+    # the demo writes its 600 x 600 renders of squares 46 and 47 next to
+    # itself, so it runs from a copy; the digests are those of the
+    # row-by-row renderer
+    demo = tmp_path / "fractal_images.py"
+    shutil.copyfile(ROOT / "demos" / "fractal_images.py", demo)
+    _run(sys.executable, "-bb", str(demo))
+    for idx, digest in RENDER_SHA256.items():
+        assert _sha256((tmp_path / f"square{idx}.ppm").read_bytes()) == digest
 
 
 def test_histogram_record_unchanged():

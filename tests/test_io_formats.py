@@ -263,11 +263,12 @@ class TestRender:
         with pytest.raises(OrderNotSupported, match=f"order-{order} palette"):
             decode_image(img, order)
 
-    @pytest.mark.parametrize("order, factor", [(4, 2), (8, 2), (16, 3)])
+    @pytest.mark.parametrize("order, factor", [(4, 2), (8, 2), (16, 3), (300, 4.9)])
     def test_working_memory_of_a_render(self, order, factor):
         # the pixels are written once, into the buffer that is returned; at
-        # order 16 (b = 1) the skewed buffer of tile ids alone is 1.3 times
-        # the pixmap
+        # order 300 (b = 1, uint32 tile ids) the skewed buffer of tile ids
+        # alone is 2.7 times the pixmap, and 4.9 is the peak of the cell
+        # sweep that came before the tiles
         q = Quasigroup(data.shuffled_cyclic(order, random.Random(order)))
         render_iterations(q, 1, (0, 1, 2, 3), 600, 599)
         tracemalloc.start()

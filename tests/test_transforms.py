@@ -268,6 +268,12 @@ def _assert_iterates(q, leader, row, iterations):
         assert tuple(grid[k + 1]) == e_transform(q, leader, grid[k].tolist())
 
 
+@pytest.fixture(scope="module")
+def phase_squares():
+    return [random_latin(4, 4), random_latin(5, 5)] + [
+        Quasigroup(data.shuffled_cyclic(order, random.Random(order))) for order in (16, 256, 300)]
+
+
 # e_iterates' working memory in bytes, at most this many times
 # (H + W) * min(H, W) for H rows and W columns
 ITERATES_MEMORY_FACTOR = 16
@@ -300,7 +306,7 @@ class TestIterates:
                     reference_render(q, leader, row, width, height - 1, text)
 
     def test_order_4_sweeps_a_third_of_the_anti_diagonals(self, ref_square, monkeypatch):
-        # one take of the right table per anti-diagonal of tiles: 600 x 600
+        # one take of the pair table per anti-diagonal of tiles: 600 x 600
         # cells have 1199 anti-diagonals, their 3 x 3 tiles 399
         steps = [0]
 
@@ -311,13 +317,43 @@ class TestIterates:
 
         table = transforms._tile_table
 
-        def counted(q, leader, b):
-            right, bottom, rows = table(q, leader, b)
-            return right.view(Counted), bottom, rows
+        def counted(q, b, cells):
+            pairs, words = table(q, b, cells)
+            return pairs.view(Counted), words
 
         monkeypatch.setattr(transforms, "_tile_table", counted)
         e_iterates(ref_square, 0, (0, 1, 2, 3) * 150, 599)
         assert 0 < steps[0] <= -(-599 // 3) + -(-600 // 3)
+
+    # (width, iterations) at tile side b, grouped by where the sweep
+    # switches from sliced anti-diagonals to whole rows of its buffer: n
+    # rows and m columns of tiles, each with its virtual row or column,
+    # n <= m once a tall grid is transposed
+    PHASES = {
+        "n-1-or-2": lambda b: [(7 * b + 1, 0), (7 * b + 1, 1), (7 * b, b)],
+        "m-2-transposed": lambda b: [(1, 7 * b), (b, 7 * b - 1)],
+        "n-equals-m": lambda b: [(4 * b, 4 * b), (4 * b - 1, 4 * b - 1), (2 * b, 2 * b)],
+        "n-is-m-minus-1": lambda b: [(4 * b, 3 * b), (4 * b - 1, 3 * b - 1)],
+        "n-is-m-plus-1-transposed": lambda b: [(3 * b, 4 * b), (3 * b - 1, 4 * b - 1)],
+        "tall-transposed": lambda b: [(2 * b + 1, 9 * b), (2 * b, 9 * b + 1)],
+        "wide": lambda b: [(9 * b + 2, 2 * b), (9 * b - 1, 2 * b + 1)],
+    }
+
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_phase_boundaries(self, phase, phase_squares):
+        # b = 3 and 2, and b = 1 with uint8, uint16 and uint32 tile ids
+        # (orders 16, 256 and 300), each leader at either end; the grid,
+        # and the renders P3 and P6, against the row-by-row reference
+        for q in phase_squares:
+            rnd = random.Random(q.order)
+            for width, iterations in self.PHASES[phase](tile_side(q.order)):
+                row = tuple(rnd.randrange(q.order) for _ in range(width))
+                for leader in (0, q.order - 1):
+                    _assert_iterates(q, leader, row, iterations)
+                    for text in (False, True):
+                        assert render_iterations(q, leader, row, width, iterations, text) == \
+                            reference_render(q, leader, row, width, iterations, text), \
+                            (q.order, width, iterations, leader, text)
 
     @given(st.integers(1, 70), st.integers(1, 40), st.integers(0, 40),
            st.randoms(use_true_random=False))
