@@ -27,12 +27,13 @@ period_profile. It steps m iterates per pass over the current unit through
 one stacked e-step table, whose state packs the symbols of m layers (see
 transforms.stack_tables, the builder the vectorized scans share): m is the
 most layers whose table has at most 256 entries, 3 at order 4 and 1 from
-order 7 up, where the table is the square's own. The census builds the
-tables of 64 squares at a time in one uint8 array and lists the rows of
-one square at a time; period_profile builds one table per call, and
-classify calls it for each leader. The witness search steps its family
-members through the stacked steps of all the squares it searches, built
-once per search.
+order 7 up, where the table is the square's own. One builder, _stack_rows,
+gives the stacked steps of several squares as the rows of one array. The
+census calls it once, for all 576 squares, and both of its stages read
+those rows: the witness search steps its family members through the rows
+of the squares it searches, and the period engine lists one square's row
+at a time. permutation_search and period_profile build one square's row
+per call, and classify calls period_profile for each leader.
 """
 import itertools
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ from .budget import as_integer, charge, charge_steps, over_by_exponent, refuse, 
 from .core import enumerate_order4
 from .errors import EmptyString, FormatError, LengthMismatch, OrderNotSupported
 from .transforms import digit_columns, e_row, family_columns, family_steps, leader_tokens
-from .transforms import blocks, check_periodic, flat_table, pack_columns, symbol_dtype
+from .transforms import blocks, check_periodic, flat_table, pack_columns
 from .transforms import STACK_ENTRIES, stack_layers, stack_tables, unpack_string
 # Unused here; perfbench/tracing.py rebinds these names to count calls.
 from .transforms import OwfSpec, e_transform, r_n  # noqa: F401
@@ -110,29 +111,27 @@ def _check_search(order, n, max_len, include_indices, budget):
     charge_steps(max_len + 2 * n, n, limit)
 
 
-def _bijective(stack, s, n, squares, ids):
+def _bijective(stacks, s, n, squares, ids):
     """(len(squares), strings) mask: is leader string ids[:, k] a witness for
-    the square whose stacked step starts at squares[i] * s^(m+1) in stack,
-    the stacked steps of m = stack_layers(s) layers (transforms.stack_tables)
-    of the squares searched?
+    the square whose stacked step is row squares[i] of stacks (_stack_rows)?
 
     Token ids below s are constants, s + j is Index(j). Columns run
     (square, string, input); as there are exactly s^n inputs, outputs that
     cover all of Q^n make a bijection. The per-column offsets and group
-    numbers are built in the gather's index dtype, which holds len(stack)
+    numbers are built in the gather's index dtype, which holds stacks.size
     - 1, and the packed images in the narrowest dtype holding s^n - 1.
     """
     total = s**n
     strings = ids.shape[1]
     groups = len(squares) * strings
     group_tok = np.tile(ids, len(squares))
-    dtype = np.min_scalar_type(max(len(stack), groups) - 1)
-    group_off = np.repeat((np.asarray(squares) * s ** (stack_layers(s) + 1)).astype(dtype),
-                          strings)
+    dtype = np.min_scalar_type(max(stacks.size, groups) - 1)
+    group_off = np.repeat((np.asarray(squares) * stacks.shape[1]).astype(dtype), strings)
+    stack = stacks.ravel()
     seen = np.zeros((groups, total), dtype=bool)
     for lo, hi in blocks(total, groups):
         m = hi - lo
-        inputs = np.tile(digit_columns(lo, hi, s, n, stack.dtype), groups)
+        inputs = np.tile(digit_columns(lo, hi, s, n), groups)
         leaders = (np.repeat(tok, m) for tok in group_tok)
         state = family_columns(stack, s, family_steps(s, n, leaders), inputs,
                                np.repeat(group_off, m))
@@ -141,15 +140,13 @@ def _bijective(stack, s, n, squares, ids):
     return seen.reshape(len(squares), strings, total).all(axis=2)
 
 
-def _first_witnesses(squares, n, max_len, include_indices):
-    """permutation_search for each of several squares of one order, by
-    length, dropping a square at its first witness. The stacked steps of
-    all the squares are built once per search."""
-    s = squares[0].order
+def _first_witnesses(stacks, s, n, max_len, include_indices):
+    """permutation_search for each of several squares of order s, given as
+    the rows of their stacked steps (_stack_rows), by length, dropping a
+    square at its first witness."""
     ntok = s + (n if include_indices else 0)
-    stack = stack_tables(np.concatenate([flat_table(q) for q in squares]), s)
-    witnesses = [None] * len(squares)
-    pending = list(range(len(squares)))
+    witnesses = [None] * len(stacks)
+    pending = list(range(len(stacks)))
     for length in range(max_len + 1):
         count = ntok**length
         # batches of squares that each take every string of this length,
@@ -160,8 +157,8 @@ def _first_witnesses(squares, n, max_len, include_indices):
                 batch = [i for i in batch if witnesses[i] is None]
                 if not batch:
                     break
-                ids = digit_columns(lo, hi, ntok, length, symbol_dtype(ntok))
-                for i, hits in zip(batch, _bijective(stack, s, n, batch, ids)):
+                ids = digit_columns(lo, hi, ntok, length)
+                for i, hits in zip(batch, _bijective(stacks, s, n, batch, ids)):
                     if hits.any():
                         witnesses[i] = leader_tokens(ids[:, hits.argmax()].tolist(), s)
         pending = [i for i in pending if witnesses[i] is None]
@@ -179,7 +176,7 @@ def permutation_search(q, n, max_len, include_indices=False, budget=None):
     strings and is checked before any work.
     """
     _check_search(q.order, n, max_len, include_indices, budget)
-    return _first_witnesses([q], n, max_len, include_indices)[0]
+    return _first_witnesses(_stack_rows([q]), q.order, n, max_len, include_indices)[0]
 
 
 def minimal_period(seq):
@@ -274,39 +271,29 @@ def _start_unit(q, motif, width, iterations):
     return motif[:minimal_period(motif * 2)]
 
 
-# The census builds its stacked steps STACK_TABLES tables at a time, which
-# keeps the build's index arrays to 32 KB at order 4: one pass over all 576
-# order-4 tables raised the census peak RSS by 0.5 MiB.
+# _stack_rows builds STACK_TABLES squares' steps at a time, which keeps the
+# build's index arrays to 32 KB at order 4: one pass over all 576 order-4
+# tables raised the census peak RSS by 0.5 MiB.
 STACK_TABLES = 64
 
 
-def _stacks(tables):
-    """The stack of each of several tables of one order, in order: (step, m)
-    with step[x][a] the state after symbol a from state x, for m =
-    stack_layers(order) layers (see transforms.stack_tables). The steps of
-    STACK_TABLES tables are built at once in one uint8 array, which is cut
-    into rows one table at a time, so only the table in use is held as
-    lists. With m = 1 the step is the table."""
-    s = len(tables[0])
-    m = stack_layers(s)
-    if m == 1:
-        yield from ((table, 1) for table in tables)
-        return
-    for lo in range(0, len(tables), STACK_TABLES):
-        mul = np.array(tables[lo:lo + STACK_TABLES], dtype=np.uint8).ravel()
-        for row in stack_tables(mul, s).reshape(-1, s ** (m + 1)):
-            yield row.reshape(-1, s).tolist(), m
+def _stack_rows(squares):
+    """The stacked step (transforms.stack_tables) of each of several squares
+    of one order, as the rows of one (len(squares), s^(m+1)) array of
+    symbol_dtype, m = stack_layers(s): row k is square k's step, entry
+    state * s + a the state after symbol a. STACK_TABLES squares are
+    built at a time. With m = 1 a row is the square's flat table."""
+    s = squares[0].order
+    parts = [stack_tables(flat_table(*squares[lo:lo + STACK_TABLES]), s)
+             for lo in range(0, len(squares), STACK_TABLES)]
+    return np.concatenate(parts).reshape(len(squares), -1)
 
 
-def _stack(table):
-    """The stack of one table, see _stacks."""
-    return next(_stacks([table]))
-
-
-def _unit_profile(stack, leader, unit, width, iterations):
+def _unit_profile(step, leader, unit, width, iterations):
     """The minimal periods of the iterates of period_profile that are not
-    capped, from the start string's unit and a _stack of the table,
-    without checks.
+    capped, from the start string's unit and the square's stacked step as
+    lists, step[x][a] the state after symbol a from state x (q.table when
+    m = stack_layers(s) is 1), without checks.
 
     If the iterate repeats a unit U of minimal length P, one pass of the
     e-step over U maps the state permutation-wise, and the leader returns
@@ -325,8 +312,8 @@ def _unit_profile(stack, leader, unit, width, iterations):
     made at those same points, and the next round's unit is the last
     layer's output.
     """
-    step, m = stack
     s = len(step[0])
+    m = stack_layers(s)
     home = 0
     for _ in range(m):
         home = home * s + leader
@@ -374,8 +361,9 @@ def period_profile(q, leader, motif=(0, 1, 2, 3), width=4096, iterations=32):
     width = as_integer(width, FormatError, "width")
     unit = _start_unit(q, motif, width, iterations)
     q._check(leader)
-    return _points(_unit_profile(_stack(q.table), leader, unit, width, iterations),
-                   width, iterations)
+    step = (q.table if stack_layers(q.order) == 1
+            else _stack_rows([q])[0].reshape(-1, q.order).tolist())
+    return _points(_unit_profile(step, leader, unit, width, iterations), width, iterations)
 
 
 def classify(q, settings=None):
@@ -441,7 +429,7 @@ def isomorphism_classes(squares):
     s = squares[0].order
     if s > 5:
         raise OrderNotSupported(f"isomorphism classes are computed up to order 5, got {s}")
-    tables = np.array([q.table for q in squares], dtype=np.int64).reshape(len(squares), s * s)
+    tables = flat_table(*squares).astype(np.int64).reshape(len(squares), s * s)
     weights = s ** np.arange(s * s - 1, -1, -1, dtype=np.int64)
     key = None
     for sigma in map(np.array, itertools.permutations(range(s))):
@@ -483,20 +471,19 @@ def census_order4(settings=None):
     leaders = st.leaders_for(squares[0])
     unit = _start_unit(squares[0], st.motif, st.width, st.iterations)
     _check_search(squares[0].order, st.n, st.max_len, st.include_indices, None)
-    search = (st.n, st.max_len, st.include_indices)
+    search = (4, st.n, st.max_len, st.include_indices)
+    stacks = _stack_rows(squares)
     rep = isomorphism_classes(squares)
     heads = sorted(set(rep))
-    labels = dict(zip(heads, _first_witnesses([squares[i] for i in heads], *search)))
+    labels = dict(zip(heads, _first_witnesses(stacks[heads], *search)))
     members = [i for i, r in enumerate(rep) if labels[r] is not None]
-    found = (dict(zip(members, _first_witnesses([squares[i] for i in members], *search)))
-             if members else {})
+    found = dict(zip(members, _first_witnesses(stacks[members], *search)))
     witnesses = [found.get(i) for i in range(len(squares))]
     fractal, non_fractal, periods, disagree = [], [], {}, []
-    stacks = _stacks([q.table for q in squares])
-    for idx, (stack, witness) in enumerate(zip(stacks, witnesses), 1):
-        final = 0
+    for idx, (row, witness) in enumerate(zip(stacks, witnesses), 1):
+        step, final = row.reshape(-1, 4).tolist(), 0
         for l in leaders:
-            uncapped = _unit_profile(stack, l, unit, st.width, st.iterations)
+            uncapped = _unit_profile(step, l, unit, st.width, st.iterations)
             if len(uncapped) < st.iterations:
                 point = PeriodPoint(st.iterations, st.width, True)
                 break

@@ -204,7 +204,7 @@ def _sweep(q, ids, b, first_hit, t0, notes=()):
     stack = stack_tables(flat_table(q), s)
     found, scanned, lookups = [], 0, 0
     for lo, hi in blocks(s**n):
-        inputs = digit_columns(lo, hi, s, n, stack.dtype)
+        inputs = digit_columns(lo, hi, s, n)
         scanned += inputs.shape[1]
         # one row per group of m steps: its layers' leaders, then their
         # state after the last column stepped, packed (pack_layers); each
@@ -263,7 +263,7 @@ def _count_block(counts, stack, s, n, steps, lo, hi):
     dtype, through stack, the table's stacked step. The block's digit
     rows, image and packed images are gone when it returns, before the
     next block is built."""
-    image = family_columns(stack, s, steps, digit_columns(lo, hi, s, n, stack.dtype))
+    image = family_columns(stack, s, steps, digit_columns(lo, hi, s, n))
     # a typed one: with a Python int, narrow counts take a slow casting path
     np.add.at(counts, pack_columns(image, s, counts.dtype), counts.dtype.type(1))
 

@@ -138,9 +138,11 @@ def symbol_dtype(order):
     return np.uint8 if order <= 256 else np.uint16
 
 
-def flat_table(q):
-    """q.table flattened (entry u * s + v) to symbol_dtype."""
-    return np.array(q.table, dtype=symbol_dtype(q.order)).ravel()
+def flat_table(*squares):
+    """The tables of one or several squares of one order, each flattened
+    (entry u * s + v) and laid end to end, as one array of symbol_dtype:
+    square k's table starts at entry k * s^2."""
+    return np.array([q.table for q in squares], dtype=symbol_dtype(squares[0].order)).ravel()
 
 
 # A stacked step of m e-steps has order^(m+1) <= STACK_ENTRIES entries, so
@@ -280,9 +282,10 @@ def tile_side(order):
     return b
 
 
-def _tile_table(q, b, cells):
-    """The table of e_iterates' b x b tiles, with each symbol written as
-    the item cells[v]: (pairs, words) over the s^(2b) tile ids.
+def _tile_table(q, cells):
+    """The table of e_iterates' b x b tiles, b = tile_side(order), with
+    each symbol written as the item cells[v]: (pairs, words) over the
+    s^(2b) tile ids.
 
     A word is b symbols packed base s, the first most significant. Id i is
     the tile whose left word (the b symbols left of it, top to bottom) is
@@ -295,7 +298,7 @@ def _tile_table(q, b, cells):
     steps of all s^(b+1) (symbol, word) pairs; at b = 1 the one row is q's
     flat table, and the edges of cell value v are (v * s, v).
     """
-    s = q.order
+    s, b = q.order, tile_side(q.order)
     span = s**b
     count = span * span
     dtype = np.min_scalar_type(count - 1)
@@ -305,7 +308,7 @@ def _tile_table(q, b, cells):
         np.multiply(rows[0], s, out=pairs[:, 0], dtype=dtype)
     else:
         # steps[l * span + w]: word w after one e-step led by l
-        digits = digit_columns(0, s * span, s, b + 1, symbol_dtype(s))
+        digits = digit_columns(0, s * span, s, b + 1)
         lefts = np.repeat(np.multiply(digits[1:, :span], span, dtype=dtype), span, axis=1)
         steps = pack_columns(e_columns(flat_table(q), s, digits[0], digits[1:]), s).astype(dtype)
         rows = np.empty((b, count), dtype)
@@ -368,11 +371,15 @@ def e_iterates(q, leader, row, iterations, cells=None, out=None):
     cells = np.arange(s, dtype=dtype) if cells is None else cells
     out = np.empty((iterations + 1, width), cells.dtype) if out is None else out
     b = tile_side(s)
-    pairs, words = _tile_table(q, b, cells)
-    offsets = np.arange(0, len(words), len(pairs))[:, None]
     n, m = -(-iterations // b) + 1, -(-width // b) + 1
     padded = np.zeros((m - 1) * b, dtype)
     padded[:width] = row
+    out[0] = cells[padded[:width]]
+    if not iterations:      # row 0 is all there is: no table, no sweep
+        out.flags.writeable = False
+        return out
+    pairs, words = _tile_table(q, cells)
+    offsets = np.arange(0, len(words), len(pairs))[:, None]
     # the virtual tiles: word w above row 1, or the leader's left of
     # column 0, has the edges (w * s^b, w)
     item = f"u{2 * pairs.itemsize}"
@@ -406,7 +413,6 @@ def e_iterates(q, leader, row, iterations, cells=None, out=None):
         buf, (n, m), ((n + 1) * buf.itemsize, n * buf.itemsize))
     tiles = (tiles.T if tall else tiles)[1:, 1:]
     band = max(1, EXPAND_IDS // (b * tiles.shape[1]))
-    out[0] = cells[padded[:width]]
     for t in range(0, len(tiles), band):
         lo, hi = 1 + t * b, min(1 + (t + band) * b, iterations + 1)
         ids = (offsets + tiles[t:t + band, None]).reshape(-1, tiles.shape[1])[:hi - lo]
@@ -450,9 +456,9 @@ def leader_tokens(ids, order):
     return tuple(Const(t) if t < order else Index(t - order) for t in ids)
 
 
-def digit_columns(lo, hi, base, n, dtype):
+def digit_columns(lo, hi, base, n):
     """Strings lo..hi-1 of base^n in pack_string order, as the columns of
-    an (n, hi - lo) array of dtype.
+    an (n, hi - lo) array of symbol_dtype(base).
 
     Row j holds digit (t // run) % base of each t, run = base^(n-1-j):
     runs of run equal symbols counting up, repeating with period
@@ -461,7 +467,7 @@ def digit_columns(lo, hi, base, n, dtype):
     entered at the block's offset into the period, and the rest of the
     row copies them forward.
     """
-    width = hi - lo
+    width, dtype = hi - lo, symbol_dtype(base)
     out = np.empty((n, width), dtype=dtype)
     if not width:
         return out

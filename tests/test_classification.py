@@ -5,6 +5,7 @@ import tracemalloc
 from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -37,12 +38,18 @@ from qows import (
     serialize_leaders,
 )
 from qows import classification, transforms
-from qows.classification import _first_witnesses
+from qows.classification import _first_witnesses, _stack_rows
 
 import data
 from oracles import reference_unit_profile, reference_witness, window_profile, window_rows
 
 random_squares = st.builds(random_latin, st.integers(2, 6), st.integers(0, 10**6))
+
+
+def _step(q):
+    """q's stacked step as _unit_profile reads it: its row of _stack_rows,
+    as lists."""
+    return _stack_rows([q])[0].reshape(-1, q.order).tolist()
 
 
 class TestMinimalPeriod:
@@ -188,7 +195,7 @@ class TestPermutationSearch:
         import qows.transforms as tr
         squares = [random_latin(order, seed) for seed in seeds]
         with mock.patch("qows.transforms.CHUNK_COLUMNS", columns or tr.CHUNK_COLUMNS):
-            got = _first_witnesses(squares, n, max_len, include_indices)
+            got = _first_witnesses(_stack_rows(squares), order, n, max_len, include_indices)
         assert got == [reference_witness(q, n, max_len, include_indices) for q in squares]
 
 
@@ -344,7 +351,8 @@ class TestCensus:
     def test_witnesses_match_per_square_search(self, n, max_len, include_indices):
         report = census_order4(ClassifySettings(n=n, max_len=max_len,
                                                 include_indices=include_indices))
-        expected = _first_witnesses(enumerate_order4(), n, max_len, include_indices)
+        expected = _first_witnesses(_stack_rows(enumerate_order4()), 4, n, max_len,
+                                    include_indices)
         assert report.witnesses == dict(enumerate(expected, 1))
 
     @pytest.mark.parametrize("settings", [
@@ -359,6 +367,17 @@ class TestCensus:
         # both kinds of square, and the early stop taken and passed over
         assert {points[0].capped for points in finals} == {False, True}
         assert {points[-1].capped for points in finals} == {False, True}
+
+    def test_one_stack_build_per_census(self, monkeypatch):
+        # both stages read one _stack_rows of the 576 squares, 64 a build;
+        # the head search, the member search and the period stage used to
+        # build their own, 11 builds over 803 tables
+        builds = []
+        build = transforms.stack_tables
+        monkeypatch.setattr(classification, "stack_tables",
+                            lambda mul, s: builds.append(len(mul) // (s * s)) or build(mul, s))
+        census_order4()
+        assert builds == [64] * 9
 
     def test_period_stage_stops_at_the_first_capped_leader(self, monkeypatch):
         calls = []
@@ -378,17 +397,29 @@ class TestCensus:
         assert len(made) == 576
 
     def test_unit_profile_lists_the_uncapped_periods(self):
-        stack = classification._stack(from_index(47).table)
+        step = _step(from_index(47))
         # a width of one motif caps the first iterate
-        assert classification._unit_profile(stack, 0, [0, 1, 2, 3], 4, 3) == []
-        assert classification._unit_profile(stack, 0, [0, 1, 2, 3], 4096, 32) \
+        assert classification._unit_profile(step, 0, [0, 1, 2, 3], 4, 3) == []
+        assert classification._unit_profile(step, 0, [0, 1, 2, 3], 4096, 32) \
             == data.P47_PROFILE_L0_PREFIX
-        stack = classification._stack(from_index(46).table)
-        never = classification._unit_profile(stack, 0, [0, 1, 2, 3], 4096, 32)
+        never = classification._unit_profile(_step(from_index(46)), 0, [0, 1, 2, 3], 4096, 32)
         assert len(never) == 32 and never[-1] == 128
 
     def test_stack_layers(self):
         assert [transforms.stack_layers(s) for s in range(1, 9)] == [8, 7, 4, 3, 2, 2, 1, 1]
+
+    @pytest.mark.parametrize("squares", [
+        enumerate_order4(),                             # nine builds of 64
+        [random_latin(5, seed) for seed in range(70)],  # 64 and 6, two layers
+        [random_latin(7, seed) for seed in range(3)],   # one layer: the tables
+    ], ids=["order-4", "order-5", "order-7"])
+    def test_stack_rows_are_each_squares_stacked_step(self, squares):
+        s = squares[0].order
+        rows = _stack_rows(squares)
+        assert rows.shape == (len(squares), s ** (transforms.stack_layers(s) + 1))
+        assert rows.dtype == transforms.symbol_dtype(s)
+        for q, row in zip(squares, rows):
+            assert np.array_equal(row, transforms.stack_tables(transforms.flat_table(q), s))
 
     def test_unit_profile_matches_the_single_layer_loop(self):
         # random squares of orders 1-8, so 1 to 8 layers a round; iteration
@@ -404,8 +435,7 @@ class TestCensus:
             width = len(motif) * rng.choice([1, 2, 3, 5, 8, 16, 64, 256, 1024])
             iterations = rng.randint(1, 3 * transforms.stack_layers(s) + 2)
             leader = rng.randrange(s)
-            got = classification._unit_profile(classification._stack(q.table), leader,
-                                               unit, width, iterations)
+            got = classification._unit_profile(_step(q), leader, unit, width, iterations)
             assert got == reference_unit_profile(q.table, leader, unit, width, iterations), \
                 (q.table, leader, motif, width, iterations)
             capped += len(got) < iterations
@@ -483,7 +513,8 @@ class TestIsomorphismClasses:
 
     def test_witness_label_is_a_class_invariant(self, reps):
         labels = {}
-        for i, witness in enumerate(_first_witnesses(enumerate_order4(), 2, 4, False)):
+        stacks = _stack_rows(enumerate_order4())
+        for i, witness in enumerate(_first_witnesses(stacks, 4, 2, 4, False)):
             assert labels.setdefault(reps[i], witness is not None) == (witness is not None)
         assert sum(labels.values()) == 19
 

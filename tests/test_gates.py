@@ -3,8 +3,11 @@ images the render demo writes, a histogram record and a set of attack
 records, each run as a user runs it, in a fresh interpreter, and compared
 byte for byte with the output pinned by its SHA-256; a 4^11 histogram
 record, which must be the same written to --out and to stdout, within a
-bound on peak RSS; and two commands that must end within a time bound, an
-order-128 gen and a witness search too large for the budget.
+bound on peak RSS; two commands that must end within a time bound, an
+order-128 gen and a witness search too large for the budget; two that
+must end within both a time and a peak-RSS bound, a hostile output value
+and a one-shot long attack; and the records of a table whose path is not
+ASCII.
 
 Each command runs as sys.executable -m qows.cli, and each demo as
 sys.executable -bb on its file (a copy, for the demo that writes files
@@ -85,14 +88,21 @@ def test_histogram_record_unchanged():
 HISTOGRAM_RSS_MIB = 64
 
 
-def _peak_rss_mib(*argv):
-    """The peak RSS in MiB of argv, run to exit 0 from a fresh wrapper
-    interpreter whose only child it is, so that no other process the
-    tests ran counts; its stdout is dropped."""
+def _peak_rss_mib(*args, timeout=None):
+    """(peak RSS in MiB, exit code, stderr) of the qows command args, run
+    from a fresh wrapper interpreter whose only child it is, so that no
+    other process the tests ran counts; its stdout is dropped. The wrapper
+    kills it after timeout seconds, and then fails the test."""
     wrapper = ("import resource, subprocess, sys\n"
-               "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)\n"
-               "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
-    return int(_run(sys.executable, "-c", wrapper, *argv)) / 1024
+               "run = subprocess.run(sys.argv[2:], timeout=float(sys.argv[1]) or None,\n"
+               "                     stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)\n"
+               "sys.stderr.buffer.write(run.stderr)\n"
+               "print(run.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    done = subprocess.run([sys.executable, "-c", wrapper, str(timeout or 0),
+                           sys.executable, "-m", "qows.cli", *args],
+                          cwd=ROOT, env=_env(), check=True, capture_output=True, text=True)
+    code, rss = map(int, done.stdout.split())
+    return rss / 1024, code, done.stderr
 
 
 def test_histogram_record_streamed(tmp_path):
@@ -100,9 +110,61 @@ def test_histogram_record_streamed(tmp_path):
     # bound
     histogram = ["histogram", "--index", "355", "--N", "11", "--leaders", "3,i1"]
     out = tmp_path / "h11"
-    rss = _peak_rss_mib(sys.executable, "-m", "qows.cli", *histogram, "--out", str(out))
+    rss, code, err = _peak_rss_mib(*histogram, "--out", str(out))
+    assert code == 0, err
     assert _sha256(out.read_bytes()) == _sha256(_qows(*histogram))
     assert rss < HISTOGRAM_RSS_MIB
+
+
+@pytest.mark.parametrize("method", ["brute", "attack-r1", "attack-r2"])
+def test_hostile_output_value_is_refused_from_n(method):
+    # N = 10^7 symbols is within the budget as an output, but each
+    # method's own charge refuses it from N alone, so --output-value must
+    # end in one error line before the string is built (it took 3.6 s and
+    # 807 MiB when the string came first)
+    rss, code, err = _peak_rss_mib("invert", "--index", "5", "--method", method,
+                                   "--output-value", "3", "--N", "10000000", timeout=10)
+    lines = err.splitlines()
+    assert code == 1 and len(lines) == 1, err
+    assert "exceeds budget" in lines[0] or "at most 320 symbols" in lines[0], err
+    assert rss < 100
+
+
+@pytest.mark.parametrize("n", [240, 320])
+def test_one_shot_long_attack(n):
+    # uncached 240- and 320-symbol --first-hit searches, whose schedule
+    # compiles the benchmark's repeated output lengths hide; 320 is
+    # MAX_R1_LENGTH, the longest compile and the deepest search tree, 107
+    # nested generators. Each must end in exit 0 (a preimage) or 1 (over
+    # budget), never in a traceback, under 150 MiB RSS (77 and 113 MiB
+    # with each level's run program; 84 and 124 MiB when levels ran as
+    # wavefronts)
+    rss, code, err = _peak_rss_mib("invert", "--index", "355", "--method", "attack-r1",
+                                   "--first-hit", "--budget", "1000", "--output", "0" * n,
+                                   timeout=60)
+    assert code in (0, 1) and "Traceback" not in err, err
+    assert rss < 150
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["invert", "--method", "attack-r2", "--output",
+                                                 "0123"], ["histogram", "--N", "2"]],
+                         ids=["classify", "invert", "histogram"])
+def test_non_ascii_table_path(tmp_path, argv):
+    # the records are ASCII: a table path echoed in a header is
+    # backslash-escaped, both to --out and to an ASCII-only stdout, where
+    # it used to end in a UnicodeEncodeError traceback (and, to --out, an
+    # empty file)
+    table, out = tmp_path / "sq_\u00f1.qg", tmp_path / "record"
+    _qows("gen", "--order", "4", "--seed", "3", "--out", str(table))
+    header = f"# quasigroup {table}\n".encode("ascii", "backslashreplace")
+    cmd = [sys.executable, "-m", "qows.cli", argv[0], "--quasigroup", str(table), *argv[1:]]
+    to_file = subprocess.run(cmd + ["--out", str(out)], cwd=ROOT, env=_env(),
+                             capture_output=True, timeout=60)
+    to_stdout = subprocess.run(cmd, cwd=ROOT, env=dict(_env(), PYTHONIOENCODING="ascii"),
+                               capture_output=True, timeout=60)
+    for proc, record in ((to_file, out.read_bytes()), (to_stdout, to_stdout.stdout)):
+        assert proc.returncode == 0 and b"Traceback" not in proc.stderr, proc.stderr
+        assert record.isascii() and header in record
 
 
 def test_attack_records_unchanged(tmp_path):

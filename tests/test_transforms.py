@@ -163,6 +163,18 @@ class TestVectorizedPair:
             assert _columns(e_columns(mul, order, leader, state.copy())) == \
                 [e_transform(q, l, a) for l, a in zip(per_column, strings)]
 
+    @pytest.mark.parametrize("order", [4, 256, 257])
+    def test_flat_table_lays_squares_end_to_end(self, order):
+        # uint8 symbols up to order 256, uint16 past it
+        rnd = random.Random(order)
+        squares = [Quasigroup(data.shuffled_cyclic(order, rnd)) for _ in range(3)]
+        alone = [flat_table(q) for q in squares]
+        for q, flat in zip(squares, alone):
+            assert flat.tolist() == [v for row in q.table for v in row]
+        together = flat_table(*squares)
+        assert together.dtype == symbol_dtype(order) == alone[0].dtype
+        assert np.array_equal(together, np.concatenate(alone))
+
     @pytest.mark.parametrize("tables", [2, 257])
     def test_stacked_tables_match_reference(self, tables):
         # order-16 tables stacked 2 deep (512 entries, a uint16 index) and
@@ -305,9 +317,10 @@ class TestIterates:
                 assert render_iterations(q, leader, row, width, height - 1, text) == \
                     reference_render(q, leader, row, width, height - 1, text)
 
-    def test_order_4_sweeps_a_third_of_the_anti_diagonals(self, ref_square, monkeypatch):
-        # one take of the pair table per anti-diagonal of tiles: 600 x 600
-        # cells have 1199 anti-diagonals, their 3 x 3 tiles 399
+    @staticmethod
+    def _count_pair_takes(monkeypatch):
+        """A list whose one item counts the takes of the pair table from
+        here on."""
         steps = [0]
 
         class Counted(np.ndarray):
@@ -317,13 +330,32 @@ class TestIterates:
 
         table = transforms._tile_table
 
-        def counted(q, b, cells):
-            pairs, words = table(q, b, cells)
+        def counted(q, cells):
+            pairs, words = table(q, cells)
             return pairs.view(Counted), words
 
         monkeypatch.setattr(transforms, "_tile_table", counted)
+        return steps
+
+    def test_order_4_sweeps_a_third_of_the_anti_diagonals(self, ref_square, monkeypatch):
+        # one take of the pair table per anti-diagonal of tiles: 600 x 600
+        # cells have 1199 anti-diagonals, their 3 x 3 tiles 399
+        steps = self._count_pair_takes(monkeypatch)
         e_iterates(ref_square, 0, (0, 1, 2, 3) * 150, 599)
         assert 0 < steps[0] <= -(-599 // 3) + -(-600 // 3)
+
+    @pytest.mark.parametrize("order", [4, 300])
+    def test_no_iterations_is_the_row_alone(self, order, monkeypatch):
+        # row 0 is written and nothing is swept, on a row many tiles wide
+        rnd = random.Random(order)
+        q = random_latin(4, 3) if order == 4 else Quasigroup(data.shuffled_cyclic(order, rnd))
+        row = tuple(rnd.randrange(order) for _ in range(5001))
+        steps = self._count_pair_takes(monkeypatch)
+        assert e_iterates(q, 1, row, 0).tolist() == [list(row)]
+        for text in (False, True):
+            assert render_iterations(q, 1, row, len(row), 0, text) == \
+                reference_render(q, 1, row, len(row), 0, text)
+        assert steps[0] == 0
 
     # (width, iterations) at tile side b, grouped by where the sweep
     # switches from sliced anti-diagonals to whole rows of its buffer: n
@@ -514,7 +546,7 @@ class TestFamilyColumns:
         total = order**n
         lo %= total
         hi = min(total, lo + width)
-        cols = digit_columns(lo, hi, order, n, symbol_dtype(order))
+        cols = digit_columns(lo, hi, order, n)
         assert cols.dtype == symbol_dtype(order) and cols.shape == (n, hi - lo)
         assert cols.flags.c_contiguous and cols.flags.writeable
         assert _columns(cols) == [unpack_string(v, order, n) for v in range(lo, hi)]
