@@ -27,14 +27,20 @@ period_profile. It steps m iterates per pass over the current unit through
 one stacked e-step table, whose state packs the symbols of m layers (see
 transforms.stack_tables, the builder the vectorized scans share): m is the
 most layers whose table has at most 256 entries, 3 at order 4 and 1 from
-order 7 up, where the table is the square's own. One builder, _stack_rows,
+order 7 up, where the table is the square's own. The engine's table is
+indexed by state: row x has s^m entries, entry y the state after symbol
+y % s, the last layer's symbol of state y, so each round steps the last
+round's states as they are (_engine_rows). One builder, _stack_rows,
 gives the stacked steps of several squares as the rows of one array. The
 census calls it once, for all 576 squares, and both of its stages read
 those rows: the witness search steps its family members through the rows
-of the squares it searches, and the period engine lists one square's row
-at a time. permutation_search and period_profile build one square's row
-per call, and classify calls period_profile for each leader.
+of the squares it searches, and the period engine widens one square's row
+at a time. permutation_search and period_profile read one square's row
+from _square_stack, which keeps the last square asked, so a classify,
+which calls period_profile for each leader and then permutation_search,
+builds it once.
 """
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -45,7 +51,7 @@ from .core import enumerate_order4
 from .errors import EmptyString, FormatError, LengthMismatch, OrderNotSupported
 from .transforms import digit_columns, e_row, family_columns, family_steps, leader_tokens
 from .transforms import blocks, check_periodic, flat_table, pack_columns
-from .transforms import STACK_ENTRIES, stack_layers, stack_tables, unpack_string
+from .transforms import stack_layers, stack_tables, unpack_string
 # Unused here; perfbench/tracing.py rebinds these names to count calls.
 from .transforms import OwfSpec, e_transform, r_n  # noqa: F401
 
@@ -176,7 +182,7 @@ def permutation_search(q, n, max_len, include_indices=False, budget=None):
     strings and is checked before any work.
     """
     _check_search(q.order, n, max_len, include_indices, budget)
-    return _first_witnesses(_stack_rows([q]), q.order, n, max_len, include_indices)[0]
+    return _first_witnesses(_square_stack(q), q.order, n, max_len, include_indices)[0]
 
 
 def minimal_period(seq):
@@ -289,11 +295,32 @@ def _stack_rows(squares):
     return np.concatenate(parts).reshape(len(squares), -1)
 
 
-def _unit_profile(step, leader, unit, width, iterations):
+@functools.lru_cache(maxsize=1)
+def _square_stack(q):
+    """_stack_rows([q]), read-only, kept for the last square asked only:
+    classify's period profiles and witness search share one build, and
+    nothing of an earlier square stays."""
+    rows = _stack_rows([q])
+    rows.flags.writeable = False
+    return rows
+
+
+def _engine_rows(row, s):
+    """The period engine's step from an order-s square's row of
+    _stack_rows, as lists: row x has s^m entries, m = stack_layers(s), and
+    entry y is the state after symbol y % s from state x. That is the row
+    of s entries repeated s^(m-1) times, sharing its ints, and it reads a
+    state y as its last layer's symbol, so a round steps the last round's
+    states as they are."""
+    copies = s ** (stack_layers(s) - 1)
+    return [r * copies for r in row.reshape(-1, s).tolist()]
+
+
+def _unit_profile(step, s, leader, unit, width, iterations):
     """The minimal periods of the iterates of period_profile that are not
-    capped, from the start string's unit and the square's stacked step as
-    lists, step[x][a] the state after symbol a from state x (q.table when
-    m = stack_layers(s) is 1), without checks.
+    capped, from the start string's unit and the order-s square's stacked
+    step as the engine's lists (_engine_rows; q.table when m =
+    stack_layers(s) is 1), without checks.
 
     If the iterate repeats a unit U of minimal length P, one pass of the
     e-step over U maps the state permutation-wise, and the leader returns
@@ -309,40 +336,35 @@ def _unit_profile(step, leader, unit, width, iterations):
     layer is home again. Layer j's unit is c_j copies of layer j-1's, so it
     can only return where layers 1..j-1 are home, and its period is P times
     the passes at its first return there. The width test of each layer is
-    made at those same points, and the next round's unit is the last
-    layer's output.
+    made at those same points. The next round's unit is the last layer's
+    output, which the engine's rows read from the states as they are.
     """
-    s = len(step[0])
     m = stack_layers(s)
-    home = 0
-    for _ in range(m):
-        home = home * s + leader
     # layers 1..j of state x are home when x // scale[j] == homes[j]
     scale = [s ** (m - j) for j in range(m + 1)]
+    home = leader * sum(scale[1:])      # every layer holds the leader
     homes = [home // d for d in scale]
-    # state -> its last layer's symbol; states are bytes only when m > 1
-    last = (bytes(range(s)) * STACK_ENTRIES)[:STACK_ENTRIES] if m > 1 else None
     periods = []
     while len(periods) < iterations:
-        size = len(unit)
         layers = min(m, iterations - len(periods))
-        states, x, passes, found = [], home, 0, 0
+        states, found = e_row(step, home, unit), 0
         while found < layers:
-            states += e_row(step, x, unit)
             x = states[-1]
-            passes += 1
+            # len(states) is P times the passes so far
             while found < layers and x // scale[found] == homes[found]:
                 back = x // scale[found + 1] == homes[found + 1]
-                least = passes * size
+                least = len(states)
                 if not back:                    # one more unit of the layer before
-                    least += periods[-1] if found else size
+                    least += periods[-1] if found else len(unit)
                 if 2 * least > width:           # the next period is at least this
                     return periods
                 if not back:
                     break
-                periods.append(passes * size)
+                periods.append(len(states))
                 found += 1
-        unit = states if m == 1 else bytes(states).translate(last)
+            if found < layers:
+                states += e_row(step, x, unit)
+        unit = states
     return periods
 
 
@@ -362,8 +384,9 @@ def period_profile(q, leader, motif=(0, 1, 2, 3), width=4096, iterations=32):
     unit = _start_unit(q, motif, width, iterations)
     q._check(leader)
     step = (q.table if stack_layers(q.order) == 1
-            else _stack_rows([q])[0].reshape(-1, q.order).tolist())
-    return _points(_unit_profile(step, leader, unit, width, iterations), width, iterations)
+            else _engine_rows(_square_stack(q)[0], q.order))
+    periods = _unit_profile(step, q.order, leader, unit, width, iterations)
+    return _points(periods, width, iterations)
 
 
 def classify(q, settings=None):
@@ -481,9 +504,9 @@ def census_order4(settings=None):
     witnesses = [found.get(i) for i in range(len(squares))]
     fractal, non_fractal, periods, disagree = [], [], {}, []
     for idx, (row, witness) in enumerate(zip(stacks, witnesses), 1):
-        step, final = row.reshape(-1, 4).tolist(), 0
+        step, final = _engine_rows(row, 4), 0
         for l in leaders:
-            uncapped = _unit_profile(step, l, unit, st.width, st.iterations)
+            uncapped = _unit_profile(step, 4, l, unit, st.width, st.iterations)
             if len(uncapped) < st.iterations:
                 point = PeriodPoint(st.iterations, st.width, True)
                 break

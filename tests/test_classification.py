@@ -38,7 +38,7 @@ from qows import (
     serialize_leaders,
 )
 from qows import classification, transforms
-from qows.classification import _first_witnesses, _stack_rows
+from qows.classification import _engine_rows, _first_witnesses, _stack_rows
 
 import data
 from oracles import reference_unit_profile, reference_witness, window_profile, window_rows
@@ -48,8 +48,8 @@ random_squares = st.builds(random_latin, st.integers(2, 6), st.integers(0, 10**6
 
 def _step(q):
     """q's stacked step as _unit_profile reads it: its row of _stack_rows,
-    as lists."""
-    return _stack_rows([q])[0].reshape(-1, q.order).tolist()
+    widened to the engine's lists."""
+    return _engine_rows(_stack_rows([q])[0], q.order)
 
 
 class TestMinimalPeriod:
@@ -379,6 +379,22 @@ class TestCensus:
         census_order4()
         assert builds == [64] * 9
 
+    def test_one_stack_build_per_classify(self, monkeypatch):
+        # classify's four period profiles and its witness search read one
+        # kept build, where each made its own; a second square replaces it
+        builds = []
+        build = transforms.stack_tables
+        monkeypatch.setattr(classification, "stack_tables",
+                            lambda mul, s: builds.append(s) or build(mul, s))
+        classification._square_stack.cache_clear()
+        classify(from_index(46))
+        assert builds == [4]
+        classify(from_index(47))
+        assert builds == [4, 4]
+        assert classification._square_stack.cache_info().currsize == 1
+        assert not classification._square_stack(from_index(47)).flags.writeable
+        assert builds == [4, 4]
+
     def test_period_stage_stops_at_the_first_capped_leader(self, monkeypatch):
         calls = []
         profile = classification._unit_profile
@@ -399,10 +415,10 @@ class TestCensus:
     def test_unit_profile_lists_the_uncapped_periods(self):
         step = _step(from_index(47))
         # a width of one motif caps the first iterate
-        assert classification._unit_profile(step, 0, [0, 1, 2, 3], 4, 3) == []
-        assert classification._unit_profile(step, 0, [0, 1, 2, 3], 4096, 32) \
+        assert classification._unit_profile(step, 4, 0, [0, 1, 2, 3], 4, 3) == []
+        assert classification._unit_profile(step, 4, 0, [0, 1, 2, 3], 4096, 32) \
             == data.P47_PROFILE_L0_PREFIX
-        never = classification._unit_profile(_step(from_index(46)), 0, [0, 1, 2, 3], 4096, 32)
+        never = classification._unit_profile(_step(from_index(46)), 4, 0, [0, 1, 2, 3], 4096, 32)
         assert len(never) == 32 and never[-1] == 128
 
     def test_stack_layers(self):
@@ -421,6 +437,17 @@ class TestCensus:
         for q, row in zip(squares, rows):
             assert np.array_equal(row, transforms.stack_tables(transforms.flat_table(q), s))
 
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_engine_rows_are_indexed_by_state(self, order):
+        # s^m states, each stepping any state y as its last layer's symbol
+        row = _stack_rows([random_latin(order, order)])[0]
+        narrow = row.reshape(-1, order).tolist()
+        rows = _engine_rows(row, order)
+        states = order ** transforms.stack_layers(order)
+        assert len(rows) == states and {len(row) for row in rows} == {states}
+        for x, row in enumerate(rows):
+            assert row == [narrow[x][y % order] for y in range(states)]
+
     def test_unit_profile_matches_the_single_layer_loop(self):
         # random squares of orders 1-8, so 1 to 8 layers a round; iteration
         # counts below m and not multiples of it; widths from one motif,
@@ -435,7 +462,7 @@ class TestCensus:
             width = len(motif) * rng.choice([1, 2, 3, 5, 8, 16, 64, 256, 1024])
             iterations = rng.randint(1, 3 * transforms.stack_layers(s) + 2)
             leader = rng.randrange(s)
-            got = classification._unit_profile(_step(q), leader, unit, width, iterations)
+            got = classification._unit_profile(_step(q), s, leader, unit, width, iterations)
             assert got == reference_unit_profile(q.table, leader, unit, width, iterations), \
                 (q.table, leader, motif, width, iterations)
             capped += len(got) < iterations

@@ -6,8 +6,8 @@ record, which must be the same written to --out and to stdout, within a
 bound on peak RSS; two commands that must end within a time bound, an
 order-128 gen and a witness search too large for the budget; two that
 must end within both a time and a peak-RSS bound, a hostile output value
-and a one-shot long attack; and the records of a table whose path is not
-ASCII.
+and a one-shot long attack; the records of a table whose path is not
+ASCII; and the e-steps one census takes, counted in process.
 
 Each command runs as sys.executable -m qows.cli, and each demo as
 sys.executable -bb on its file (a copy, for the demo that writes files
@@ -22,7 +22,7 @@ import sys
 
 import pytest
 
-from qows import parse_quasigroup
+from qows import census_order4, classification, parse_quasigroup
 from test_acceptance import RENDER_SHA256
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -217,3 +217,19 @@ def test_hostile_witness_search_is_refused_up_front():
     lines = search.stderr.splitlines()
     assert search.returncode == 1, search.stderr
     assert len(lines) == 1 and "exceeds budget" in lines[0], search.stderr
+
+
+def test_census_steps_a_fixed_number_of_symbols(monkeypatch):
+    # the period engine's work per census, three layers a pass, each
+    # square stopped at its first capped leader (the witness search takes
+    # no e_row): a change that steps more symbols or calls more often fails
+    stepped = [0, 0]        # calls, symbols
+    e_row = classification.e_row
+
+    def counted(table, leader, a):
+        stepped[0] += 1
+        stepped[1] += len(a)
+        return e_row(table, leader, a)
+    monkeypatch.setattr(classification, "e_row", counted)
+    census_order4()
+    assert stepped == [23_539, 1_537_572]
